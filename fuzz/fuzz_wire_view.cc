@@ -12,12 +12,14 @@
 #include "core/registry.h"
 #include "core/view.h"
 #include "frequency/count_min.h"
+#include "frequency/space_saving.h"
 
 namespace {
 
 // One live accumulator per family with an in-place MergeFromView, so the
 // fuzzer exercises the payload walks (raw register block, varint counter
-// grid) and their atomicity guards, not just envelope validation.
+// grid, SpaceSaving entry list) and their atomicity guards, not just
+// envelope validation.
 gems::HyperLogLog& HllAccumulator() {
   static gems::HyperLogLog hll(10, 7);
   return hll;
@@ -26,6 +28,14 @@ gems::HyperLogLog& HllAccumulator() {
 gems::CountMinSketch& CmAccumulator() {
   static gems::CountMinSketch cm(64, 3, 7);
   return cm;
+}
+
+// Above 128 slots SpaceSaving keeps a slot index that every merge drops
+// and the next update rebuilds; the update after each merge makes hostile
+// entries reach that rebuild.
+gems::SpaceSaving& SsAccumulator() {
+  static gems::SpaceSaving ss(1024);
+  return ss;
 }
 
 }  // namespace
@@ -66,6 +76,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         gems::View<gems::CountMinSketch>::FromSketchView(v->value());
     if (cm_view.ok()) {
       (void)CmAccumulator().MergeFromView(cm_view.value());
+    }
+    auto ss_view =
+        gems::View<gems::SpaceSaving>::FromSketchView(v->value());
+    if (ss_view.ok() && SsAccumulator().MergeFromView(ss_view.value()).ok() &&
+        SsAccumulator().TotalWeight() < INT64_MAX) {
+      SsAccumulator().Update(size);
     }
   }
   return 0;

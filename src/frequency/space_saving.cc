@@ -1,15 +1,30 @@
 #include "frequency/space_saving.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "core/params.h"
 #include "core/wire.h"
+#include "hash/murmur3.h"
 
 namespace gems {
 
 SpaceSaving::SpaceSaving(size_t capacity) : capacity_(capacity) {
   GEMS_CHECK(capacity >= 1);
+}
+
+SpaceSaving::SpaceSaving(const SpaceSaving& other)
+    : capacity_(other.capacity_),
+      total_(other.total_),
+      slots_(other.slots_),
+      index_(other.index_
+                 ? std::make_unique<std::vector<uint32_t>>(*other.index_)
+                 : nullptr) {}
+
+SpaceSaving& SpaceSaving::operator=(const SpaceSaving& other) {
+  if (this != &other) *this = SpaceSaving(other);
+  return *this;
 }
 
 Result<SpaceSaving> SpaceSaving::ForThreshold(double phi) {
@@ -28,9 +43,19 @@ size_t SpaceSaving::FindSlot(uint64_t item) const {
   return i;
 }
 
+size_t SpaceSaving::LookupSlot(uint64_t item) const {
+  if (!index_) return FindSlot(item);
+  const uint32_t id = (*index_)[TableProbe(item)];
+  return id == kNoSlot ? slots_.size() : id;
+}
+
 void SpaceSaving::Update(uint64_t item, int64_t weight) {
   GEMS_CHECK(weight >= 1);
   total_ += weight;
+  if (capacity_ > kIndexMinCapacity) {
+    IndexedUpdate(item, weight);
+    return;
+  }
 
   const size_t found = FindSlot(item);
   if (found < slots_.size()) {
@@ -53,6 +78,130 @@ void SpaceSaving::Update(uint64_t item, int64_t weight) {
   }
   const int64_t min_count = slots_[weakest].count;
   slots_[weakest] = Slot{item, min_count + weight, min_count};
+}
+
+// The same three cases as the scan above, with the table finding the slot
+// and the heap root naming the victim. Slot contents and positions come out
+// exactly as the scan leaves them.
+void SpaceSaving::IndexedUpdate(uint64_t item, int64_t weight) {
+  if (!index_) Reindex();
+  const size_t cell = TableProbe(item);
+  const uint32_t found = Table()[cell];
+  if (found != kNoSlot) {
+    slots_[found].count += weight;
+    SiftDown(HeapPos()[found]);
+    return;
+  }
+  if (slots_.size() < capacity_) {
+    slots_.push_back(Slot{item, weight, 0});
+    if (slots_.size() > IndexSlots()) {
+      Reindex();  // Grow the index; it covers the new slot.
+      return;
+    }
+    const auto id = static_cast<uint32_t>(slots_.size() - 1);
+    Table()[cell] = id;
+    Heap()[id] = id;
+    HeapPos()[id] = id;
+    SiftUp(id);
+    return;
+  }
+  const uint32_t weakest = Heap()[0];
+  TableErase(TableProbe(slots_[weakest].item));
+  const int64_t min_count = slots_[weakest].count;
+  slots_[weakest] = Slot{item, min_count + weight, min_count};
+  Table()[TableProbe(item)] = weakest;
+  SiftDown(0);
+}
+
+void SpaceSaving::Reindex() {
+  const size_t n = slots_.size();
+  // One spare slot so the next insert fits, capped where capacity_ fits;
+  // a huge nominal capacity costs nothing until its slots exist.
+  const size_t index_slots = std::bit_ceil(
+      std::min(capacity_, std::max<size_t>(2 * kIndexMinCapacity, n + 1)));
+  if (!index_) index_ = std::make_unique<std::vector<uint32_t>>();
+  index_->assign(4 * index_slots, kNoSlot);
+  uint32_t* table = Table();
+  uint32_t* heap = Heap();
+  uint32_t* pos = HeapPos();
+  for (uint32_t id = 0; id < n; ++id) {
+    table[TableProbe(slots_[id].item)] = id;
+    heap[id] = id;
+    pos[id] = id;
+  }
+  for (size_t p = n / 2; p-- > 0;) SiftDown(p);
+}
+
+size_t SpaceSaving::TableHome(uint64_t item) const {
+  return murmur3_detail::FMix64(item) & (2 * IndexSlots() - 1);
+}
+
+size_t SpaceSaving::TableProbe(uint64_t item) const {
+  const size_t mask = 2 * IndexSlots() - 1;
+  size_t cell = TableHome(item);
+  const std::vector<uint32_t>& table = *index_;
+  while (table[cell] != kNoSlot && slots_[table[cell]].item != item) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+// Backward-shift deletion: later members of the probe run move up into the
+// hole unless their home lies cyclically in (hole, candidate], so every
+// remaining item stays reachable from its home without tombstones.
+void SpaceSaving::TableErase(size_t cell) {
+  uint32_t* table = Table();
+  const size_t mask = 2 * IndexSlots() - 1;
+  size_t hole = cell;
+  for (size_t next = (hole + 1) & mask; table[next] != kNoSlot;
+       next = (next + 1) & mask) {
+    const size_t home = TableHome(slots_[table[next]].item);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table[hole] = table[next];
+      hole = next;
+    }
+  }
+  table[hole] = kNoSlot;
+}
+
+bool SpaceSaving::SlotLess(uint32_t a, uint32_t b) const {
+  if (slots_[a].count != slots_[b].count) {
+    return slots_[a].count < slots_[b].count;
+  }
+  return slots_[a].item < slots_[b].item;
+}
+
+void SpaceSaving::SiftUp(size_t pos) {
+  uint32_t* heap = Heap();
+  uint32_t* heap_pos = HeapPos();
+  const uint32_t id = heap[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!SlotLess(id, heap[parent])) break;
+    heap[pos] = heap[parent];
+    heap_pos[heap[pos]] = static_cast<uint32_t>(pos);
+    pos = parent;
+  }
+  heap[pos] = id;
+  heap_pos[id] = static_cast<uint32_t>(pos);
+}
+
+void SpaceSaving::SiftDown(size_t pos) {
+  uint32_t* heap = Heap();
+  uint32_t* heap_pos = HeapPos();
+  const size_t n = slots_.size();
+  const uint32_t id = heap[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && SlotLess(heap[child + 1], heap[child])) ++child;
+    if (!SlotLess(heap[child], id)) break;
+    heap[pos] = heap[child];
+    heap_pos[heap[pos]] = static_cast<uint32_t>(pos);
+    pos = child;
+  }
+  heap[pos] = id;
+  heap_pos[id] = static_cast<uint32_t>(pos);
 }
 
 void SpaceSaving::UpdateBatch(std::span<const uint64_t> items) {
@@ -81,7 +230,7 @@ void SpaceSaving::UpdateBatch(std::span<const uint64_t> items,
 }
 
 int64_t SpaceSaving::Estimate(uint64_t item) const {
-  const size_t i = FindSlot(item);
+  const size_t i = LookupSlot(item);
   if (i < slots_.size()) return slots_[i].count;
   return MinCount();
 }
@@ -89,7 +238,7 @@ int64_t SpaceSaving::Estimate(uint64_t item) const {
 gems::Estimate SpaceSaving::EstimateWithBounds(uint64_t item,
                                                double confidence) const {
   gems::Estimate e;
-  const size_t i = FindSlot(item);
+  const size_t i = LookupSlot(item);
   if (i < slots_.size()) {
     e.value = static_cast<double>(slots_[i].count);
     e.upper = e.value;
@@ -104,17 +253,19 @@ gems::Estimate SpaceSaving::EstimateWithBounds(uint64_t item,
 }
 
 int64_t SpaceSaving::ErrorOf(uint64_t item) const {
-  const size_t i = FindSlot(item);
+  const size_t i = LookupSlot(item);
   return i < slots_.size() ? slots_[i].error : MinCount();
 }
 
 bool SpaceSaving::IsGuaranteedExact(uint64_t item) const {
-  const size_t i = FindSlot(item);
+  const size_t i = LookupSlot(item);
   return i < slots_.size() && slots_[i].error == 0;
 }
 
 int64_t SpaceSaving::MinCount() const {
   if (slots_.size() < capacity_ || slots_.empty()) return 0;
+  // With an index built, the heap root holds the minimum.
+  if (index_) return slots_[(*index_)[2 * IndexSlots()]].count;
   int64_t min_count = slots_[0].count;
   for (const Slot& slot : slots_) min_count = std::min(min_count, slot.count);
   return min_count;
@@ -153,6 +304,12 @@ Status SpaceSaving::Merge(const SpaceSaving& other) {
   if (capacity_ != other.capacity_) {
     return Status::InvalidArgument("SpaceSaving merge requires equal capacity");
   }
+  // Counts sum to at most the total weight on each side (Deserialize
+  // enforces it for images), so a total that fits bounds every summed count.
+  int64_t merged_total = 0;
+  if (__builtin_add_overflow(total_, other.total_, &merged_total)) {
+    return Status::OutOfRange("SpaceSaving merge overflows the total weight");
+  }
   // Combine: items in both get summed counts and errors; items in only one
   // side could have appeared up to the other side's MinCount times unseen,
   // which stays within the inherited-error accounting below. Both tracked
@@ -182,7 +339,8 @@ Status SpaceSaving::Merge(const SpaceSaving& other) {
   });
   if (all.size() > capacity_) all.resize(capacity_);
   slots_ = std::move(all);
-  total_ += other.total_;
+  index_.reset();  // Stale; the next Update rebuilds it.
+  total_ = merged_total;
   return Status::Ok();
 }
 
@@ -222,12 +380,15 @@ Result<SpaceSaving> SpaceSaving::Deserialize(
   if (Status sc = r.GetVarint(&capacity); !sc.ok()) return sc;
   if (Status st = r.GetI64(&total); !st.ok()) return st;
   if (Status se = r.GetVarint(&num_entries); !se.ok()) return se;
-  if (capacity == 0 || num_entries > capacity) {
+  // Each entry is three 8-byte fields; checked before the reserve below.
+  if (capacity == 0 || num_entries > capacity || total < 0 ||
+      num_entries > r.remaining() / (3 * sizeof(uint64_t))) {
     return Status::Corruption("invalid SpaceSaving header");
   }
   SpaceSaving ss(capacity);
   ss.total_ = total;
   ss.slots_.reserve(num_entries);
+  int64_t count_sum = 0;
   for (uint64_t i = 0; i < num_entries; ++i) {
     uint64_t item;
     int64_t count, error;
@@ -237,7 +398,21 @@ Result<SpaceSaving> SpaceSaving::Deserialize(
     if (count <= 0 || error < 0 || error > count) {
       return Status::Corruption("invalid SpaceSaving entry");
     }
+    // Every unit of weight lands in at most one count.
+    if (__builtin_add_overflow(count_sum, count, &count_sum) ||
+        count_sum > total) {
+      return Status::Corruption("SpaceSaving counts exceed the total weight");
+    }
     ss.slots_.push_back(Slot{item, count, error});
+  }
+  // Tracked items are distinct by construction; a repeated item would make
+  // lookups answer for its first copy only and break the index.
+  std::vector<uint64_t> items;
+  items.reserve(ss.slots_.size());
+  for (const Slot& slot : ss.slots_) items.push_back(slot.item);
+  std::sort(items.begin(), items.end());
+  if (std::adjacent_find(items.begin(), items.end()) != items.end()) {
+    return Status::Corruption("duplicate SpaceSaving item");
   }
   return ss;
 }

@@ -169,20 +169,29 @@ TEST(BatchEquivalence, CountSketchNegativeWeights) {
   EXPECT_EQ(batched.Serialize(), sequential.Serialize());
 }
 
-TEST(BatchEquivalence, SpaceSavingWithEvictions) {
-  // Capacity far below the number of distinct items forces constant
-  // evictions; the run-coalescing fast path must still match per-item.
-  SpaceSaving batched(64);
-  SpaceSaving sequential(64);
+// Capacity far below the number of distinct items forces constant
+// evictions; the run-coalescing fast path must still match per-item. 1,024
+// slots run through the summary's slot index, 64 through its linear scan.
+void ExpectSpaceSavingBatchMatches(size_t capacity) {
+  SpaceSaving batched(capacity);
+  SpaceSaving sequential(capacity);
   const std::vector<uint64_t> items = ZipfItems(30000, 11);
   FeedRagged<uint64_t>(items, [&](auto s) { batched.UpdateBatch(s); });
   for (uint64_t item : items) sequential.Update(item);
   EXPECT_EQ(batched.Serialize(), sequential.Serialize());
 }
 
-TEST(BatchEquivalence, SpaceSavingWeighted) {
-  SpaceSaving batched(64);
-  SpaceSaving sequential(64);
+TEST(BatchEquivalence, SpaceSavingWithEvictions) {
+  ExpectSpaceSavingBatchMatches(64);
+}
+
+TEST(BatchEquivalence, SpaceSaving1024WithEvictions) {
+  ExpectSpaceSavingBatchMatches(1024);
+}
+
+void ExpectSpaceSavingWeightedBatchMatches(size_t capacity) {
+  SpaceSaving batched(capacity);
+  SpaceSaving sequential(capacity);
   const std::vector<uint64_t> items = ZipfItems(8000, 12);
   std::vector<int64_t> weights;
   for (size_t i = 0; i < items.size(); ++i) {
@@ -198,6 +207,14 @@ TEST(BatchEquivalence, SpaceSavingWeighted) {
     sequential.Update(items[i], weights[i]);
   }
   EXPECT_EQ(batched.Serialize(), sequential.Serialize());
+}
+
+TEST(BatchEquivalence, SpaceSavingWeighted) {
+  ExpectSpaceSavingWeightedBatchMatches(64);
+}
+
+TEST(BatchEquivalence, SpaceSaving1024Weighted) {
+  ExpectSpaceSavingWeightedBatchMatches(1024);
 }
 
 TEST(BatchEquivalence, MinHash) {

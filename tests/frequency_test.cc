@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "core/io.h"
 #include "core/summary.h"
+#include "core/view.h"
+#include "core/wire.h"
 #include "frequency/count_min.h"
 #include "frequency/count_sketch.h"
 #include "frequency/dyadic_count_min.h"
@@ -746,6 +750,285 @@ TEST(SpaceSavingTest, SerializeRoundTrip) {
     EXPECT_EQ(before[i].count, after[i].count);
     EXPECT_EQ(before[i].error, after[i].error);
   }
+}
+
+// SpaceSaving's slot index (capacity > 128) must be invisible: the
+// summary has to evolve exactly as the plain linear-scan implementation
+// below, which keeps the slot layout, eviction rule, merge and wire order
+// the index was built against.
+class ScanSpaceSaving {
+ public:
+  explicit ScanSpaceSaving(size_t capacity) : capacity_(capacity) {}
+
+  void Update(uint64_t item, int64_t weight = 1) {
+    total_ += weight;
+    const size_t found = Find(item);
+    if (found < slots_.size()) {
+      slots_[found].count += weight;
+      return;
+    }
+    if (slots_.size() < capacity_) {
+      slots_.push_back({item, weight, 0});
+      return;
+    }
+    size_t weakest = 0;
+    for (size_t i = 1; i < slots_.size(); ++i) {
+      if (slots_[i].count < slots_[weakest].count ||
+          (slots_[i].count == slots_[weakest].count &&
+           slots_[i].item < slots_[weakest].item)) {
+        weakest = i;
+      }
+    }
+    const int64_t min_count = slots_[weakest].count;
+    slots_[weakest] = {item, min_count + weight, min_count};
+  }
+
+  // Runs of equal adjacent items coalesce into one weighted update.
+  void UpdateBatch(std::span<const uint64_t> items,
+                   std::span<const int64_t> weights) {
+    size_t i = 0;
+    while (i < items.size()) {
+      int64_t weight = weights[i];
+      size_t j = i + 1;
+      while (j < items.size() && items[j] == items[i]) weight += weights[j++];
+      Update(items[i], weight);
+      i = j;
+    }
+  }
+
+  void Merge(const ScanSpaceSaving& other) {
+    std::vector<SpaceSaving::Entry> all = slots_;
+    all.insert(all.end(), other.slots_.begin(), other.slots_.end());
+    std::sort(all.begin(), all.end(),
+              [](const auto& a, const auto& b) { return a.item < b.item; });
+    size_t out = 0;
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (out > 0 && all[out - 1].item == all[i].item) {
+        all[out - 1].count += all[i].count;
+        all[out - 1].error += all[i].error;
+      } else {
+        all[out++] = all[i];
+      }
+    }
+    all.resize(out);
+    slots_ = std::move(all);
+    Canonicalize();
+    if (slots_.size() > capacity_) slots_.resize(capacity_);
+    total_ += other.total_;
+  }
+
+  // What a serialize/deserialize round trip does to the slot order.
+  void Canonicalize() {
+    std::sort(slots_.begin(), slots_.end(),
+              [](const auto& a, const auto& b) {
+                if (a.count != b.count) return a.count > b.count;
+                return a.item < b.item;
+              });
+  }
+
+  std::vector<uint8_t> Serialize() const {
+    ScanSpaceSaving sorted = *this;
+    sorted.Canonicalize();
+    std::vector<uint8_t> out;
+    ByteSink sink(&out);
+    EnvelopeBuilder env(sink, SketchTypeId::kSpaceSaving);
+    sink.PutVarint(capacity_);
+    sink.PutI64(total_);
+    sink.PutVarint(slots_.size());
+    for (const auto& slot : sorted.slots_) {
+      sink.PutU64(slot.item);
+      sink.PutI64(slot.count);
+      sink.PutI64(slot.error);
+    }
+    env.Finish();
+    return out;
+  }
+
+  int64_t MinCount() const {
+    if (slots_.size() < capacity_ || slots_.empty()) return 0;
+    int64_t min_count = slots_[0].count;
+    for (const auto& slot : slots_) {
+      min_count = std::min(min_count, slot.count);
+    }
+    return min_count;
+  }
+  int64_t Estimate(uint64_t item) const {
+    const size_t i = Find(item);
+    return i < slots_.size() ? slots_[i].count : MinCount();
+  }
+  int64_t ErrorOf(uint64_t item) const {
+    const size_t i = Find(item);
+    return i < slots_.size() ? slots_[i].error : MinCount();
+  }
+  bool IsGuaranteedExact(uint64_t item) const {
+    const size_t i = Find(item);
+    return i < slots_.size() && slots_[i].error == 0;
+  }
+  std::vector<uint64_t> HeavyHitterCandidates(double phi) const {
+    const double threshold = phi * static_cast<double>(total_);
+    std::vector<uint64_t> out;
+    for (const auto& slot : slots_) {
+      if (static_cast<double>(slot.count) >= threshold) {
+        out.push_back(slot.item);
+      }
+    }
+    return out;
+  }
+
+ private:
+  size_t Find(uint64_t item) const {
+    size_t i = 0;
+    while (i < slots_.size() && slots_[i].item != item) ++i;
+    return i;
+  }
+
+  size_t capacity_;
+  int64_t total_ = 0;
+  std::vector<SpaceSaving::Entry> slots_;
+};
+
+void ExpectSameSummary(const SpaceSaving& got, const ScanSpaceSaving& want,
+                       uint64_t universe, Rng& rng) {
+  ASSERT_EQ(got.Serialize(), want.Serialize());
+  EXPECT_EQ(got.MinCount(), want.MinCount());
+  // Candidate order is slot order, so this pins the layout too.
+  for (double phi : {0.0, 0.001, 0.01, 0.1}) {
+    ASSERT_EQ(got.HeavyHitterCandidates(phi), want.HeavyHitterCandidates(phi));
+  }
+  std::vector<uint64_t> probes = got.HeavyHitterCandidates(0.0);
+  for (int i = 0; i < 32; ++i) probes.push_back(rng.NextBounded(2 * universe));
+  for (uint64_t item : probes) {
+    ASSERT_EQ(got.Estimate(item), want.Estimate(item)) << item;
+    ASSERT_EQ(got.ErrorOf(item), want.ErrorOf(item)) << item;
+    ASSERT_EQ(got.IsGuaranteedExact(item), want.IsGuaranteedExact(item))
+        << item;
+  }
+}
+
+// Items for one op. Zipf-like skew from squaring a uniform, runs of equal
+// items for the batch coalescing, and (ties) a shuffled sweep of the
+// universe so every tracked count stays equal and each eviction is a tie.
+std::vector<uint64_t> DifferentialItems(Rng& rng, uint64_t universe,
+                                        bool ties, size_t n) {
+  std::vector<uint64_t> items;
+  for (size_t i = 0; i < n; ++i) {
+    if (ties) {
+      items.push_back(rng.NextBounded(universe));
+      continue;
+    }
+    const double u = rng.NextDouble();
+    const auto item =
+        static_cast<uint64_t>(u * u * static_cast<double>(universe));
+    const size_t run = rng.NextBounded(4) == 0 ? 1 + rng.NextBounded(5) : 1;
+    items.insert(items.end(), run, item);
+  }
+  return items;
+}
+
+void RunDifferential(size_t capacity, bool ties, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " ties "
+                                    << ties << " seed " << seed);
+  Rng rng(seed);
+  const uint64_t universe = 3 * capacity + 7;
+  SpaceSaving got(capacity);
+  ScanSpaceSaving want(capacity);
+  if (ties) {
+    // Every item once: all counts 1, then every eviction breaks a tie.
+    for (uint64_t item = universe; item-- > 0;) {
+      got.Update(item);
+      want.Update(item);
+    }
+    ExpectSameSummary(got, want, universe, rng);
+  }
+  for (int step = 0; step < 60; ++step) {
+    const size_t n = 1 + rng.NextBounded(3 * capacity / 2 + 40);
+    const std::vector<uint64_t> items =
+        DifferentialItems(rng, universe, ties, n);
+    std::vector<int64_t> weights(items.size(), 1);
+    const uint64_t op = rng.NextBounded(7);
+    if (!ties && (op == 1 || op == 3)) {
+      for (int64_t& w : weights) {
+        w = 1 + static_cast<int64_t>(rng.NextBounded(9));
+      }
+    }
+    switch (op) {
+      case 0:
+      case 1:
+        for (size_t i = 0; i < items.size(); ++i) {
+          got.Update(items[i], weights[i]);
+        }
+        break;
+      case 2:
+        got.UpdateBatch(items);
+        break;
+      case 3:
+        got.UpdateBatch(items, weights);
+        break;
+      case 4:
+      case 5: {
+        SpaceSaving peer(capacity);
+        ScanSpaceSaving peer_want(capacity);
+        peer.UpdateBatch(items);
+        peer_want.UpdateBatch(items, weights);
+        ExpectSameSummary(peer, peer_want, universe, rng);
+        want.Merge(peer_want);
+        if (op == 4) {
+          ASSERT_TRUE(got.Merge(peer).ok());
+        } else {
+          const std::vector<uint8_t> bytes = peer.Serialize();
+          Result<View<SpaceSaving>> view = View<SpaceSaving>::Wrap(bytes);
+          ASSERT_TRUE(view.ok());
+          ASSERT_TRUE(got.MergeFromView(view.value()).ok());
+        }
+        ExpectSameSummary(got, want, universe, rng);
+        continue;
+      }
+      case 6: {
+        Result<SpaceSaving> restored =
+            SpaceSaving::Deserialize(got.Serialize());
+        ASSERT_TRUE(restored.ok());
+        got = std::move(restored).value();
+        want.Canonicalize();
+        for (uint64_t item : items) got.Update(item);
+        break;
+      }
+    }
+    if (op != 4 && op != 5) want.UpdateBatch(items, weights);
+    ExpectSameSummary(got, want, universe, rng);
+  }
+}
+
+TEST(SpaceSavingTest, MatchesLinearScanReference) {
+  for (size_t capacity : {1, 2, 128, 129, 1000, 1024}) {
+    for (bool ties : {false, true}) {
+      RunDifferential(capacity, ties, 1000 * capacity + (ties ? 1 : 0));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SpaceSavingTest, LargeSummaryImagesArePinned) {
+  // Digests of 1,024-slot images taken from the linear-scan implementation
+  // before the slot index existed: byte identity against the old code, not
+  // only against the in-test reference.
+  SpaceSaving a(1024), b(1024);
+  ZipfGenerator za(100000, 1.1, 2024), zb(100000, 1.1, 2025);
+  for (int i = 0; i < 200000; ++i) a.Update(za.Next(), 1 + i % 3);
+  EXPECT_EQ(Fnv1a(a.Serialize()), 0x9aa05643827e7943ull);
+  b.UpdateBatch(zb.Take(200000));
+  EXPECT_EQ(Fnv1a(b.Serialize()), 0x696a9a6147ba85e5ull);
+  ASSERT_TRUE(a.Merge(b).ok());
+  for (int i = 0; i < 50000; ++i) a.Update(za.Next());
+  EXPECT_EQ(Fnv1a(a.Serialize()), 0xf6dd993cd2fbb7c6ull);
 }
 
 // ---------------------------------------------------------------- Majority

@@ -5,6 +5,7 @@
 // garbage. Run under ASan/UBSan in CI.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,9 @@
 #include "core/summary.h"
 #include "core/view.h"
 #include "core/wire.h"
+#include "core/io.h"
 #include "frequency/count_min.h"
+#include "frequency/space_saving.h"
 #include "graph/agm.h"
 #include "membership/bloom.h"
 #include "quantiles/kll.h"
@@ -286,6 +289,96 @@ TEST_F(WireTest, UnregisteredButValidTypeIdIsCorruption) {
   Result<AnySketch> r = SketchRegistry::Global().Deserialize(bytes);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+}
+
+// A SpaceSaving envelope over hand-written (item, count) entries with zero
+// error; valid framing and checksum, whatever the entries say. The total
+// weight defaults to the sum of the counts.
+std::vector<uint8_t> SpaceSavingImage(
+    uint64_t capacity, std::vector<std::pair<uint64_t, int64_t>> entries,
+    std::optional<int64_t> total = std::nullopt) {
+  std::vector<uint8_t> payload;
+  ByteSink sink(&payload);
+  sink.PutVarint(capacity);
+  if (!total) {
+    total = 0;
+    for (const auto& entry : entries) *total += entry.second;
+  }
+  sink.PutI64(*total);
+  sink.PutVarint(entries.size());
+  for (const auto& [item, count] : entries) {
+    sink.PutU64(item);
+    sink.PutI64(count);
+    sink.PutI64(0);
+  }
+  return WrapEnvelope(SketchTypeId::kSpaceSaving, payload);
+}
+
+TEST_F(WireTest, SpaceSavingDuplicateItemIsCorruption) {
+  // Each entry passes the per-entry checks; the image as a whole tracks
+  // item 7 twice and must be refused. Both the scan (capacity 8) and the
+  // indexed (capacity 1024) regime, on Deserialize and on MergeFromView.
+  for (uint64_t capacity : {8u, 1024u}) {
+    SCOPED_TRACE(capacity);
+    const std::vector<uint8_t> bytes =
+        SpaceSavingImage(capacity, {{7, 4}, {5, 3}, {7, 2}});
+    EXPECT_EQ(SpaceSaving::Deserialize(bytes).status().code(),
+              StatusCode::kCorruption);
+    Result<View<SpaceSaving>> view = View<SpaceSaving>::Wrap(bytes);
+    ASSERT_TRUE(view.ok());
+    SpaceSaving acc(capacity);
+    for (uint64_t i = 0; i < 2000; ++i) acc.Update(i % 1500);
+    const std::vector<uint8_t> before = acc.Serialize();
+    EXPECT_EQ(acc.MergeFromView(view.value()).code(), StatusCode::kCorruption);
+    EXPECT_EQ(acc.Serialize(), before);
+
+    EXPECT_TRUE(
+        SpaceSaving::Deserialize(SpaceSavingImage(capacity, {{7, 4}, {5, 3}}))
+            .ok());
+  }
+}
+
+TEST_F(WireTest, SpaceSavingHostileHeaderIsCorruption) {
+  // An entry count far beyond the payload must fail before any allocation
+  // sized by it.
+  std::vector<uint8_t> payload;
+  ByteSink sink(&payload);
+  sink.PutVarint(uint64_t{1} << 62);  // Capacity.
+  sink.PutI64(0);
+  sink.PutVarint(uint64_t{1} << 50);  // Entries; none follow.
+  EXPECT_EQ(SpaceSaving::Deserialize(
+                WrapEnvelope(SketchTypeId::kSpaceSaving, payload))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(WireTest, SpaceSavingWeightBeyondTotalIsRejected) {
+  // Counts summing past the total weight cannot come from ingest or merge;
+  // refusing them keeps every later merge sum inside int64.
+  EXPECT_EQ(SpaceSaving::Deserialize(SpaceSavingImage(8, {{7, 4}, {5, 3}}, 6))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(
+      SpaceSaving::Deserialize(SpaceSavingImage(8, {}, -1)).status().code(),
+      StatusCode::kCorruption);
+  const std::vector<uint8_t> wrapping =
+      SpaceSavingImage(8, {{7, INT64_MAX}, {5, INT64_MAX}}, INT64_MAX);
+  EXPECT_EQ(SpaceSaving::Deserialize(wrapping).status().code(),
+            StatusCode::kCorruption);
+
+  // Two valid images whose totals together overflow: the merge is refused
+  // and leaves the accumulator as it was.
+  const std::vector<uint8_t> heavy =
+      SpaceSavingImage(8, {{7, INT64_MAX / 2 + 1}});
+  Result<SpaceSaving> acc = SpaceSaving::Deserialize(heavy);
+  ASSERT_TRUE(acc.ok());
+  Result<View<SpaceSaving>> view = View<SpaceSaving>::Wrap(heavy);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(acc.value().MergeFromView(view.value()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(acc.value().Serialize(), heavy);
 }
 
 TEST_F(WireTest, EmptyHandleOperationsFailCleanly) {

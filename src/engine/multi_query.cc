@@ -75,6 +75,12 @@ MultiQueryEngine::QueryId MultiQueryEngine::AddQuery(
   auto [it, inserted] = group_index_.try_emplace(key, groups_.size());
   if (inserted) {
     for (FilterId f : canonical) filter_used_[f] = 1;
+    const uint64_t period =
+        options.slide > 0 ? options.slide : options.window_size;
+    if (period > 0 && std::find(periods_.begin(), periods_.end(), period) ==
+                          periods_.end()) {
+      periods_.push_back(period);
+    }
     groups_.emplace_back(options, seed_, std::move(canonical));
   }
   ExecGroup& group = groups_[it->second];
@@ -100,6 +106,9 @@ void MultiQueryEngine::PrepareChunk(std::span<const StreamEvent> chunk) {
       col[i] = predicate(chunk[i]) ? 1 : 0;
     }
   }
+  // One group-run partition serves every physical query: segments cut at
+  // any query's boundary are boundary-free for each of them.
+  runs_.Build(chunk, periods_);
   // Each group's accept column is the AND of its filter columns; byte
   // AND-loops, no per-event std::function dispatch.
   for (ExecGroup& group : groups_) {
@@ -130,8 +139,8 @@ Status MultiQueryEngine::ProcessBatch(std::span<const StreamEvent> events) {
     // the first failure.
     Status first = Status::Ok();
     for (ExecGroup& group : groups_) {
-      Status s = group.query.ProcessBatchPrehashed(chunk, batch_.hashes(),
-                                                   group.accept);
+      Status s = group.query.ProcessBatchPrehashed(
+          chunk, runs_, batch_.hashes(), group.accept);
       if (!s.ok() && first.ok()) first = std::move(s);
     }
     if (!first.ok()) return first;
@@ -151,20 +160,21 @@ Status MultiQueryEngine::ProcessBatchParallel(
   while (!events.empty()) {
     const std::span<const StreamEvent> chunk =
         events.first(std::min(events.size(), kChunk));
-    // Shared columns are computed once on this thread; workers only read
-    // them. Each task owns one physical query's entire state, so the
-    // fan-out takes no locks and each query's state is byte-identical to
-    // the sequential dispatch order.
+    // Shared columns and runs are computed once on this thread; workers
+    // only read them. Each task owns one physical query's entire state, so
+    // the fan-out takes no locks and each query's state is byte-identical
+    // to the sequential dispatch order.
     PrepareChunk(chunk);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(groups_.size());
+    const GroupRuns& runs = runs_;
+    const std::span<const uint64_t> hashes = batch_.hashes();
     for (size_t i = 0; i < groups_.size(); ++i) {
       ExecGroup& group = groups_[i];
       Status& status = statuses[i];
-      const std::span<const uint64_t> hashes = batch_.hashes();
-      tasks.push_back([&group, &status, chunk, hashes] {
+      tasks.push_back([&group, &status, &runs, chunk, hashes] {
         if (!status.ok()) return;  // Earlier chunk already failed here.
-        status = group.query.ProcessBatchPrehashed(chunk, hashes,
+        status = group.query.ProcessBatchPrehashed(chunk, runs, hashes,
                                                    group.accept);
       });
     }
@@ -352,6 +362,14 @@ Status MultiQueryEngine::RestoreState(std::span<const uint8_t> bytes) {
     }
     restored_views[q].group = views_[q].group;
     if (Status s = r.GetU64(&restored_views[q].cursor); !s.ok()) return s;
+    // A cursor points into its group's cache or just past it; Poll indexes
+    // the cache with it.
+    const RestoredGroup& cached = restored_groups[group];
+    if (restored_views[q].cursor < cached.cache_base ||
+        restored_views[q].cursor - cached.cache_base > cached.cache.size()) {
+      return Status::Corruption(
+          "multi-query checkpoint: view cursor outside its group's results");
+    }
   }
   if (!r.AtEnd()) {
     return Status::Corruption("multi-query checkpoint: trailing bytes");

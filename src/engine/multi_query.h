@@ -29,6 +29,11 @@
 ///  - **Hash once.** All queries share the engine seed, so the event
 ///    chunk's item column is hashed exactly once (HashedBatch) and the same
 ///    words feed every COUNT DISTINCT query's HLLs.
+///  - **Route once.** Each chunk is cut into GroupRuns once for all
+///    queries: segments at every query's window and slide boundaries, and
+///    within each a stable partition of the events by group. Every
+///    physical query walks the same runs, advancing its window once per
+///    segment and finding its group once per run.
 ///  - **State dedup.** Queries whose (Options, filter set) coincide — same
 ///    aggregate, parameters, window geometry, and predicates under the
 ///    shared seed — would build byte-identical sketches, so they share one
@@ -146,8 +151,9 @@ class MultiQueryEngine {
     uint64_t cursor = 0;  // Absolute index of the next unseen window.
   };
 
-  /// Evaluates used filters and the shared hash column for one chunk, and
-  /// AND-combines each group's accept column.
+  /// Evaluates used filters and the shared hash column for one chunk,
+  /// AND-combines each group's accept column, and cuts the chunk into
+  /// group runs at every physical query's window and slide boundaries.
   void PrepareChunk(std::span<const StreamEvent> chunk);
   /// Moves freshly closed windows from the group's query into its cache.
   void DrainGroup(ExecGroup& group);
@@ -163,6 +169,9 @@ class MultiQueryEngine {
   std::vector<View> views_;
   std::unordered_map<std::string, size_t> group_index_;  // canonical key.
   HashedBatch batch_;
+  /// Distinct nonzero window sizes and slides over the physical queries.
+  std::vector<uint64_t> periods_;
+  GroupRuns runs_;  // Per-chunk, shared read-only by every query.
 };
 
 }  // namespace gems

@@ -1,6 +1,7 @@
 #include "engine/stream_query.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/bytes.h"
@@ -9,6 +10,7 @@
 #include "distributed/aggregation.h"
 #include "hash/hash.h"
 #include "hash/hashed_batch.h"
+#include "hash/murmur3.h"
 #include "hash/xxhash.h"
 
 namespace gems {
@@ -72,6 +74,14 @@ void SerializeRing(ByteWriter& w, const PaneRing<S>& ring) {
   });
 }
 
+/// Whether a restored pane was built like the ring's prototype.
+bool SameParameters(const SpaceSaving& pane, const SpaceSaving& prototype) {
+  return pane.capacity() == prototype.capacity();
+}
+bool SameParameters(const KllSketch& pane, const KllSketch& prototype) {
+  return pane.k() == prototype.k();
+}
+
 /// Restores a pane ring serialized by SerializeRing into a ring built from
 /// `prototype` with the query's pane geometry.
 template <typename S>
@@ -88,6 +98,12 @@ Status RestoreRing(ByteReader* reader, const S& prototype, uint64_t pane_width,
     if (Status s = reader->GetBytesView(&envelope); !s.ok()) return s;
     Result<S> pane = S::Deserialize(envelope);
     if (!pane.ok()) return pane.status();
+    // The ring merges its panes with GEMS_CHECK, so a pane that cannot
+    // merge with the prototype must stop here.
+    if (!SameParameters(pane.value(), prototype)) {
+      return Status::Corruption(
+          "stream query checkpoint: pane parameters do not match the query");
+    }
     if (Status s = ring.AppendPane(id, std::move(pane).value()); !s.ok()) {
       return s;
     }
@@ -180,6 +196,77 @@ Status DeserializeWindows(ByteReader& r, std::deque<WindowResult>* out) {
 
 }  // namespace engine_detail
 
+void GroupRuns::Build(std::span<const StreamEvent> events,
+                      std::span<const uint64_t> periods) {
+  GEMS_CHECK(events.size() < UINT32_MAX);
+  source_ = events;
+  periods_.assign(periods.begin(), periods.end());
+  segments_.clear();
+  runs_.clear();
+  size_t n = events.empty() ? 0 : 1;
+  while (n < events.size() && events[n].timestamp >= events[n - 1].timestamp) {
+    ++n;
+  }
+  ordered_prefix_ = n;
+  order_.resize(n);
+  // Dense ids, so the partition below is a counting sort. The lookup is an
+  // open-addressing table at load <= 1/2, reset per chunk.
+  const size_t mask = std::bit_ceil(2 * n + 1) - 1;
+  dense_table_.assign(mask + 1, 0);
+  dense_group_.clear();
+  event_dense_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t group = events[i].group;
+    size_t cell = murmur3_detail::FMix64(group) & mask;
+    while (dense_table_[cell] != 0 &&
+           dense_group_[dense_table_[cell] - 1] != group) {
+      cell = (cell + 1) & mask;
+    }
+    if (dense_table_[cell] == 0) {
+      dense_group_.push_back(group);
+      dense_table_[cell] = static_cast<uint32_t>(dense_group_.size());
+    }
+    event_dense_[i] = dense_table_[cell] - 1;
+  }
+  count_.assign(dense_group_.size(), 0);
+  for (size_t begin = 0; begin < n;) {
+    // The segment ends before the first timestamp at or past the next
+    // multiple of any period (when one fits in 64 bits).
+    const uint64_t t = events[begin].timestamp;
+    uint64_t next = UINT64_MAX;
+    bool bounded = false;
+    for (uint64_t p : periods) {
+      if (p == 0 || t / p >= UINT64_MAX / p) continue;
+      next = std::min(next, (t / p + 1) * p);
+      bounded = true;
+    }
+    size_t end = begin + 1;
+    while (end < n && (!bounded || events[end].timestamp < next)) ++end;
+    // Stable counting sort of [begin, end) by group; runs in order of each
+    // group's first event.
+    for (size_t i = begin; i < end; ++i) {
+      if (count_[event_dense_[i]]++ == 0) touched_.push_back(event_dense_[i]);
+    }
+    const auto first_run = static_cast<uint32_t>(runs_.size());
+    auto pos = static_cast<uint32_t>(begin);
+    for (uint32_t d : touched_) {
+      const uint32_t count = count_[d];
+      runs_.push_back(Run{dense_group_[d], pos, pos + count});
+      count_[d] = pos;  // Now the group's write cursor.
+      pos += count;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      order_[count_[event_dense_[i]]++] = static_cast<uint32_t>(i);
+    }
+    for (uint32_t d : touched_) count_[d] = 0;
+    touched_.clear();
+    segments_.push_back(Segment{static_cast<uint32_t>(begin),
+                                static_cast<uint32_t>(end), first_run,
+                                static_cast<uint32_t>(runs_.size())});
+    begin = end;
+  }
+}
+
 StreamQuery::StreamQuery(const Options& options, uint64_t seed)
     : options_(options), seed_(seed) {
   GEMS_CHECK(options.hll_precision >= 4 && options.hll_precision <= 18);
@@ -242,8 +329,8 @@ StreamQuery::GroupState& StreamQuery::StateFor(uint64_t group) {
   return state;
 }
 
-Status StreamQuery::AdvanceWindow(const StreamEvent& event) {
-  if (window_initialized_ && event.timestamp < last_timestamp_) {
+Status StreamQuery::AdvanceWindow(uint64_t first, uint64_t last) {
+  if (window_initialized_ && first < last_timestamp_) {
     return Status::FailedPrecondition("timestamps must be non-decreasing");
   }
   if (options_.slide > 0) {
@@ -260,29 +347,28 @@ Status StreamQuery::AdvanceWindow(const StreamEvent& event) {
           "sliding windows need a sketch aggregate (COUNT DISTINCT, TOP-K, "
           "or QUANTILES)");
     }
-    const uint64_t boundary =
-        event.timestamp / options_.slide * options_.slide;
+    const uint64_t boundary = first / options_.slide * options_.slide;
     if (!window_initialized_) {
       window_initialized_ = true;
       current_window_start_ = boundary;
     } else if (boundary > current_window_start_) {
       EmitSlidingWindow(boundary);
     }
-    last_timestamp_ = event.timestamp;
+    last_timestamp_ = last;
     return Status::Ok();
   }
   if (!window_initialized_) {
     window_initialized_ = true;
     current_window_start_ =
         options_.window_size == 0
-            ? event.timestamp
-            : event.timestamp / options_.window_size * options_.window_size;
+            ? first
+            : first / options_.window_size * options_.window_size;
   }
-  last_timestamp_ = event.timestamp;
+  last_timestamp_ = last;
 
   if (options_.window_size > 0) {
     const uint64_t window_start =
-        event.timestamp / options_.window_size * options_.window_size;
+        first / options_.window_size * options_.window_size;
     if (window_start > current_window_start_) CloseWindow(window_start);
   }
   return Status::Ok();
@@ -295,19 +381,15 @@ bool StreamQuery::PassesFilters(const StreamEvent& event) const {
   return true;
 }
 
-void StreamQuery::ApplyEvent(const StreamEvent& event, const uint64_t* hash) {
+void StreamQuery::ApplyEvent(const StreamEvent& event) {
   GroupState& state = StateFor(event.group);
   switch (options_.aggregate) {
     case AggregateKind::kCountDistinct:
       if (options_.slide > 0) {
         state.sliding->UpdateAt(event.timestamp, event.item);
-      } else if (hash != nullptr) {
-        state.distinct->UpdateHash(*hash);
       } else {
         state.distinct->Update(event.item);
       }
-      // The live global buffers raw items (it re-hashes on its own batched
-      // drain), so it takes the item, not the precomputed word.
       if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
       break;
     case AggregateKind::kTopK:
@@ -333,58 +415,131 @@ void StreamQuery::ApplyEvent(const StreamEvent& event, const uint64_t* hash) {
 }
 
 Status StreamQuery::Process(const StreamEvent& event) {
-  if (Status s = AdvanceWindow(event); !s.ok()) return s;
+  if (Status s = AdvanceWindow(event.timestamp, event.timestamp); !s.ok()) {
+    return s;
+  }
   if (!PassesFilters(event)) return Status::Ok();
-  ApplyEvent(event, nullptr);
+  ApplyEvent(event);
   return Status::Ok();
 }
 
 Status StreamQuery::ProcessBatch(std::span<const StreamEvent> events) {
-  // Sliding mode routes per event (each update carries its timestamp into
-  // the group's pane ring, so there is no pane-oblivious hash-once path).
-  if (options_.aggregate != AggregateKind::kCountDistinct ||
-      options_.slide > 0) {
-    for (const StreamEvent& event : events) {
-      if (Status s = Process(event); !s.ok()) return s;
-    }
-    return Status::Ok();
-  }
-  // Hash-once pipeline: every group's HLL is built with the query seed, so
-  // one Hash64 per event serves whichever group the event lands in. The
-  // chunk's hash words are computed in a tight hoisted loop up front; the
-  // per-event pass then only routes (window, filters, group lookup) and
-  // applies the precomputed hash.
-  uint64_t items[256];
-  uint64_t hashes[256];
+  const uint64_t period =
+      options_.slide > 0 ? options_.slide : options_.window_size;
+  GroupRuns runs;
+  HashedBatch batch;
+  const bool distinct = options_.aggregate == AggregateKind::kCountDistinct;
+  constexpr size_t kChunk = 32768;
   while (!events.empty()) {
-    const size_t n = std::min(events.size(), std::size(items));
-    for (size_t i = 0; i < n; ++i) items[i] = events[i].item;
-    HashBatch(std::span<const uint64_t>(items, n), seed_, hashes);
-    for (size_t i = 0; i < n; ++i) {
-      const StreamEvent& event = events[i];
-      if (Status s = AdvanceWindow(event); !s.ok()) return s;
-      if (!PassesFilters(event)) continue;
-      ApplyEvent(event, &hashes[i]);
+    const std::span<const StreamEvent> chunk =
+        events.first(std::min(events.size(), kChunk));
+    runs.Build(chunk, std::span<const uint64_t>(&period, 1));
+    // Hash-once: every group's HLL is built with the query seed, so one
+    // Hash64 per event serves whichever group (and pane) it lands in.
+    if (distinct) {
+      batch.ResetProjected(
+          chunk, [](const StreamEvent& event) { return event.item; }, seed_);
     }
-    events = events.subspan(n);
+    if (Status s = ProcessBatchPrehashed(
+            chunk, runs,
+            distinct ? batch.hashes() : std::span<const uint64_t>(), {});
+        !s.ok()) {
+      return s;
+    }
+    events = events.subspan(chunk.size());
   }
   return Status::Ok();
 }
 
 Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
+                                          const GroupRuns& runs,
                                           std::span<const uint64_t> hashes,
                                           std::span<const uint8_t> accept) {
   GEMS_CHECK(hashes.empty() || hashes.size() == events.size());
   GEMS_CHECK(accept.empty() || accept.size() == events.size());
-  const bool use_hashes = !hashes.empty() &&
-                          options_.aggregate == AggregateKind::kCountDistinct &&
-                          options_.slide == 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const StreamEvent& event = events[i];
-    if (Status s = AdvanceWindow(event); !s.ok()) return s;
-    if (!accept.empty() && accept[i] == 0) continue;
-    if (!PassesFilters(event)) continue;
-    ApplyEvent(event, use_hashes ? &hashes[i] : nullptr);
+  GEMS_CHECK(runs.BuiltFrom(events));
+  GEMS_CHECK(runs.CutsAt(options_.slide > 0 ? options_.slide
+                                            : options_.window_size));
+  const std::span<const uint32_t> order = runs.order();
+  const auto accepts = [&](uint32_t i) {
+    return (accept.empty() || accept[i] != 0) && PassesFilters(events[i]);
+  };
+  for (const GroupRuns::Segment& segment : runs.segments()) {
+    // No boundary of this query lies inside the segment, so its first
+    // event makes every window close or emission the segment causes.
+    if (Status s = AdvanceWindow(events[segment.begin].timestamp,
+                                 events[segment.end - 1].timestamp);
+        !s.ok()) {
+      return s;
+    }
+    for (uint32_t r = segment.first_run; r < segment.end_run; ++r) {
+      const GroupRuns::Run& run = runs.runs()[r];
+      // Trim rejected events off the run's tail; a run with nothing
+      // accepted touches no state (it must not create its group).
+      uint32_t end = run.end;
+      while (end > run.begin && !accepts(order[end - 1])) --end;
+      if (end == run.begin) continue;
+      const uint64_t last_ts = events[order[end - 1]].timestamp;
+      // Visits the run's accepted events in stream order; the last one is
+      // known to be accepted.
+      const auto for_each = [&](auto&& apply) {
+        for (uint32_t k = run.begin; k + 1 < end; ++k) {
+          if (accepts(order[k])) apply(order[k]);
+        }
+        apply(order[end - 1]);
+      };
+      GroupState& state = StateFor(run.group);
+      switch (options_.aggregate) {
+        case AggregateKind::kCountDistinct: {
+          // A sliding run lies in one pane: open it once, at the run's
+          // last accepted timestamp, as per-event UpdateAt leaves the ring.
+          HyperLogLog& hll = options_.slide > 0
+                                 ? state.sliding->SummaryAt(last_ts)
+                                 : *state.distinct;
+          for_each([&](uint32_t i) {
+            if (hashes.empty()) {
+              hll.Update(events[i].item);
+            } else {
+              hll.UpdateHash(hashes[i]);
+            }
+            // The live global buffers raw items (it re-hashes on its own
+            // batched drain), so it takes the item, not the hash word.
+            if (live_distinct_ != nullptr) {
+              live_distinct_->Update(events[i].item);
+            }
+          });
+          break;
+        }
+        case AggregateKind::kTopK: {
+          SpaceSaving& top = options_.slide > 0
+                                 ? state.sliding_top->SummaryAt(last_ts)
+                                 : *state.top;
+          for_each([&](uint32_t i) {
+            top.Update(events[i].item, std::max<int64_t>(1, events[i].value));
+          });
+          break;
+        }
+        case AggregateKind::kQuantiles: {
+          KllSketch& kll = options_.slide > 0
+                               ? state.sliding_quantiles->SummaryAt(last_ts)
+                               : *state.quantiles;
+          for_each([&](uint32_t i) {
+            kll.Update(static_cast<double>(events[i].value));
+          });
+          break;
+        }
+        case AggregateKind::kSum:
+          for_each([&](uint32_t i) { state.sum += events[i].value; });
+          break;
+      }
+    }
+  }
+  if (runs.ordered_prefix() < events.size()) {
+    // The first out-of-order event: the runs stop before it, and
+    // AdvanceWindow rejects it (its timestamp is below the previous
+    // event's) with the status Process() would return, mutating nothing.
+    const uint64_t late = events[runs.ordered_prefix()].timestamp;
+    return AdvanceWindow(late, late);
   }
   return Status::Ok();
 }
@@ -463,7 +618,7 @@ Status StreamQuery::ProcessBatchParallel(std::span<const StreamEvent> events,
         event.timestamp >= current_window_start_ + options_.window_size) {
       flush();
     }
-    if (Status s = AdvanceWindow(event); !s.ok()) {
+    if (Status s = AdvanceWindow(event.timestamp, event.timestamp); !s.ok()) {
       flush();  // Events routed before the error still apply, as in Process.
       return s;
     }
@@ -750,6 +905,21 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
 
   const size_t ring_panes =
       options_.slide > 0 ? options_.window_size / options_.slide : 0;
+  uint8_t expected_present = 0;
+  switch (options_.aggregate) {
+    case AggregateKind::kCountDistinct:
+      expected_present = options_.slide > 0 ? kHasSliding : kHasDistinct;
+      break;
+    case AggregateKind::kTopK:
+      expected_present = options_.slide > 0 ? kHasSlidingTop : kHasTop;
+      break;
+    case AggregateKind::kQuantiles:
+      expected_present =
+          options_.slide > 0 ? kHasSlidingQuantiles : kHasQuantiles;
+      break;
+    case AggregateKind::kSum:
+      break;
+  }
   FlatMap64<GroupState> groups;
   for (uint64_t i = 0; i < num_groups; ++i) {
     uint64_t group;
@@ -765,21 +935,13 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
       return Status::Corruption(
           "stream query checkpoint: unknown sketch presence bits");
     }
-    // Pane rings can only be rebuilt when the query's own options define
-    // their geometry; a ring bit without a matching sliding aggregate is a
-    // forged or damaged image (the fingerprint above already matched).
-    if ((present & kHasSlidingTop) != 0 &&
-        (options_.slide == 0 || options_.aggregate != AggregateKind::kTopK)) {
+    // A group holds exactly the one sketch StateFor builds for this
+    // query's aggregate and window shape (SUM: none). Any other set is a
+    // forged or damaged image (the fingerprint above already matched), and
+    // would leave a later update or emission reading an absent sketch.
+    if (present != expected_present) {
       return Status::Corruption(
-          "stream query checkpoint: sliding TOP-K state in a non-sliding "
-          "query");
-    }
-    if ((present & kHasSlidingQuantiles) != 0 &&
-        (options_.slide == 0 ||
-         options_.aggregate != AggregateKind::kQuantiles)) {
-      return Status::Corruption(
-          "stream query checkpoint: sliding QUANTILES state in a "
-          "non-sliding query");
+          "stream query checkpoint: group sketches do not match the query");
     }
     if (present & kHasDistinct) {
       if (Status s = RestoreSketch(&r, &state.distinct); !s.ok()) return s;
@@ -808,6 +970,24 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
     }
     if (present & kHasQuantiles) {
       if (Status s = RestoreSketch(&r, &state.quantiles); !s.ok()) return s;
+    }
+    // ... built with the query's parameters, as StateFor builds it.
+    const bool fits =
+        (!state.distinct.has_value() ||
+         (state.distinct->precision() == options_.hll_precision &&
+          state.distinct->seed() == seed_)) &&
+        (!state.sliding.has_value() ||
+         (state.sliding->precision() == options_.hll_precision &&
+          state.sliding->seed() == seed_ &&
+          state.sliding->pane_width() == options_.slide &&
+          state.sliding->num_panes() == ring_panes)) &&
+        (!state.top.has_value() ||
+         state.top->capacity() == options_.top_k_capacity) &&
+        (!state.quantiles.has_value() ||
+         state.quantiles->k() == options_.kll_k);
+    if (!fits) {
+      return Status::Corruption(
+          "stream query checkpoint: sketch parameters do not match the query");
     }
     groups[group] = std::move(state);
   }

@@ -1,6 +1,7 @@
 #ifndef GEMS_ENGINE_STREAM_QUERY_H_
 #define GEMS_ENGINE_STREAM_QUERY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -68,6 +69,71 @@ struct WindowResult {
   std::vector<GroupAggregate> groups;  // Sorted by group id.
 };
 
+/// A chunk of events cut into group runs: the unit the batched ingest core
+/// (StreamQuery::ProcessBatchPrehashed) walks. The chunk is cut into
+/// segments at every multiple of any given period (a window size or a
+/// slide), so no segment crosses a window or slide boundary of any query
+/// built with those periods; within each segment, a stable counting sort
+/// partitions the event indices by group, one run per group. Each group's
+/// events keep their stream order, which is what keeps run-wise ingest
+/// byte-identical to per-event Process(). Runs cover only the prefix
+/// before the first out-of-order timestamp. Read-only once built, so
+/// several queries may walk one GroupRuns concurrently.
+class GroupRuns {
+ public:
+  /// One group's events in a segment: order()[begin, end).
+  struct Run {
+    uint64_t group;
+    uint32_t begin;
+    uint32_t end;
+  };
+  /// Events [begin, end) of the chunk, whose runs are runs()[first_run,
+  /// end_run).
+  struct Segment {
+    uint32_t begin;
+    uint32_t end;
+    uint32_t first_run;
+    uint32_t end_run;
+  };
+
+  /// Rebuilds the runs of `events` (at most 2^32 - 1 of them); zero
+  /// periods are ignored.
+  void Build(std::span<const StreamEvent> events,
+             std::span<const uint64_t> periods);
+
+  std::span<const Segment> segments() const { return segments_; }
+  std::span<const Run> runs() const { return runs_; }
+  /// Event indices, grouped run by run.
+  std::span<const uint32_t> order() const { return order_; }
+  /// Number of leading events in non-decreasing timestamp order; the runs
+  /// cover exactly these.
+  size_t ordered_prefix() const { return ordered_prefix_; }
+  /// True if the runs were last built from exactly `events` (same span).
+  bool BuiltFrom(std::span<const StreamEvent> events) const {
+    return events.data() == source_.data() && events.size() == source_.size();
+  }
+  /// True if no segment crosses a multiple of `period` (0: no boundaries).
+  bool CutsAt(uint64_t period) const {
+    return period == 0 ||
+           std::find(periods_.begin(), periods_.end(), period) !=
+               periods_.end();
+  }
+
+ private:
+  std::span<const StreamEvent> source_;  // Compared only, never read.
+  std::vector<uint64_t> periods_;
+  std::vector<Segment> segments_;
+  std::vector<Run> runs_;
+  std::vector<uint32_t> order_;
+  size_t ordered_prefix_ = 0;
+  // Build scratch: each distinct group of the chunk gets a dense id.
+  std::vector<uint32_t> dense_table_;  // group lookup: dense id + 1, 0 empty.
+  std::vector<uint64_t> dense_group_;  // dense id -> group.
+  std::vector<uint32_t> event_dense_;  // event index -> dense id.
+  std::vector<uint32_t> count_;        // dense id -> count, then cursor.
+  std::vector<uint32_t> touched_;      // dense ids seen in the segment.
+};
+
 /// A continuous GROUP BY sketch-aggregate query.
 class StreamQuery {
  public:
@@ -119,13 +185,13 @@ class StreamQuery {
   /// later window closes the current one.
   Status Process(const StreamEvent& event);
 
-  /// Processes a batch of events with the hash-once ingest pipeline: for
-  /// COUNT DISTINCT queries each event's item is hashed exactly once per
-  /// chunk (all groups' HLLs share the query seed, so the hash word feeds
-  /// whichever group the event lands in), instead of once per sketch
-  /// probe. Other aggregates process per-event. Window, ordering, and
-  /// filter semantics are identical to calling Process() per event, and
-  /// the resulting state is byte-identical. Stops at the first error.
+  /// Processes a batch of events through the group-run core: each chunk is
+  /// cut into GroupRuns at this query's window (or slide) boundaries, COUNT
+  /// DISTINCT items are hashed once per chunk, and the chunk goes through
+  /// ProcessBatchPrehashed. Window, ordering, and filter semantics are
+  /// identical to calling Process() per event, and the resulting state is
+  /// byte-identical. Stops at the first error, with every event before it
+  /// applied.
   Status ProcessBatch(std::span<const StreamEvent> events);
 
   /// Multi-core variant of ProcessBatch: events are partitioned by
@@ -141,23 +207,28 @@ class StreamQuery {
   Status ProcessBatchParallel(std::span<const StreamEvent> events,
                               ThreadPool& pool);
 
-  /// Shared-ingest entry point used by MultiQueryEngine: processes a batch
-  /// whose item column has already been hashed once under this query's
-  /// seed, with filter decisions precomputed per event.
+  /// The batched ingest core, shared by ProcessBatch and MultiQueryEngine:
+  /// applies `events` run by run along `runs`, which must have been built
+  /// from `events` with this query's window size or slide among the
+  /// periods (checked: a mismatch aborts). Each segment advances the window once; each run looks its
+  /// group up once, and a sliding run opens its pane once, at the
+  /// timestamp of its last accepted event.
   ///
   ///  - `hashes`, when non-empty, parallels `events` with
-  ///    hashes[i] == Hash64(events[i].item, seed); non-sliding COUNT
-  ///    DISTINCT feeds the words straight into each group's HLL instead of
+  ///    hashes[i] == Hash64(events[i].item, seed); COUNT DISTINCT (sliding
+  ///    or not) feeds the words straight into the HLLs instead of
   ///    re-hashing. Ignored (and may be empty) for other aggregates.
   ///  - `accept`, when non-empty, parallels `events`; an event with
-  ///    accept[i] == 0 is dropped exactly as if a filter rejected it
-  ///    (after window advancement, like PassesFilters). Filters attached
-  ///    with AddFilter() still apply on top.
+  ///    accept[i] == 0 is dropped exactly as if a filter rejected it.
+  ///    Filters attached with AddFilter() still apply on top.
   ///
-  /// Window, ordering, and error semantics are identical to
-  /// ProcessBatch(), and the resulting state is byte-identical
-  /// (SerializeState) to processing the same accepted events there.
+  /// Window, ordering, and error semantics are identical to calling
+  /// Process() per event, and the resulting state is byte-identical
+  /// (SerializeState): an out-of-order event fails with the status
+  /// Process() gives it, after every event before it is applied. Does not
+  /// mutate `runs`, so concurrent calls on distinct queries may share it.
   Status ProcessBatchPrehashed(std::span<const StreamEvent> events,
+                               const GroupRuns& runs,
                                std::span<const uint64_t> hashes,
                                std::span<const uint8_t> accept);
 
@@ -197,14 +268,15 @@ class StreamQuery {
   };
 
   GroupState& StateFor(uint64_t group);
-  /// Validates ordering, initializes/advances the tumbling window, and
-  /// updates last_timestamp_ for one event.
-  Status AdvanceWindow(const StreamEvent& event);
+  /// Validates ordering, initializes/advances the window, and updates
+  /// last_timestamp_ for a span of in-order events with timestamps `first`
+  /// to `last` that crosses no window or slide boundary after its first
+  /// event (a single event passes first == last).
+  Status AdvanceWindow(uint64_t first, uint64_t last);
   bool PassesFilters(const StreamEvent& event) const;
-  /// Applies one accepted event to its group's aggregate state. `hash`,
-  /// when non-null, is the event item's precomputed Hash64 under seed_
-  /// (non-sliding COUNT DISTINCT consumes it; other aggregates ignore it).
-  void ApplyEvent(const StreamEvent& event, const uint64_t* hash);
+  /// Applies one accepted event to its group's aggregate state (the
+  /// per-event reference path of Process()).
+  void ApplyEvent(const StreamEvent& event);
   void CloseWindow(uint64_t next_window_start);
   /// Sliding mode: emits the window ending at `boundary` (exclusive) over
   /// every group's pane ring, without clearing the group table.

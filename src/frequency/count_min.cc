@@ -384,12 +384,16 @@ Status CountMinSketch::Merge(const CountMinSketch& other) {
     return Status::InvalidArgument(
         "CountMin merge requires identical shape, seed, and layout");
   }
+  int64_t merged_total = 0;
+  if (__builtin_add_overflow(total_, other.total_, &merged_total)) {
+    return Status::OutOfRange("CountMin merge overflows the total weight");
+  }
   // Same layout means the storage arrays align element-for-element (blocked
   // padding slots are zero on both sides), so the counter-wise sum is
   // layout-agnostic.
   simd::Kernels().u64_add(counters_.data(), other.counters_.data(),
                           counters_.size());
-  total_ += other.total_;
+  total_ = merged_total;
   return Status::Ok();
 }
 
@@ -434,6 +438,12 @@ Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
     return Status::InvalidArgument(
         "CountMin merge requires identical shape, seed, and layout");
   }
+  // A hostile image can carry any total; refuse one that would overflow
+  // before any counter moves.
+  int64_t merged_total = 0;
+  if (__builtin_add_overflow(total_, total, &merged_total)) {
+    return Status::OutOfRange("CountMin merge overflows the total weight");
+  }
   if (layout_ == SketchLayout::kBlocked) {
     // The wire walks the logical flat matrix row-major; flat column
     // b*cols_+j of row r lives at slot b*8 + r*cols_ + j here.
@@ -447,7 +457,7 @@ Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
                   row * cols_ + (col & col_mask)] += counter;
       }
     }
-    total_ += total;
+    total_ = merged_total;
     return Status::Ok();
   }
   for (uint64_t& ours : counters_) {
@@ -455,7 +465,7 @@ Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
     if (Status sv = counters.GetVarint(&counter); !sv.ok()) return sv;
     ours += counter;
   }
-  total_ += total;
+  total_ = merged_total;
   return Status::Ok();
 }
 

@@ -72,11 +72,18 @@ Status DyadicCountMin::Merge(const DyadicCountMin& other) {
       levels_.size() != other.levels_.size()) {
     return Status::InvalidArgument("DyadicCountMin merge shape mismatch");
   }
+  // Every level holds the same total as the whole, so this check also
+  // keeps each level merge below from failing halfway through the levels.
+  int64_t merged_total = 0;
+  if (__builtin_add_overflow(total_, other.total_, &merged_total)) {
+    return Status::OutOfRange(
+        "DyadicCountMin merge overflows the total weight");
+  }
   for (size_t i = 0; i < levels_.size(); ++i) {
     Status s = levels_[i].Merge(other.levels_[i]);
     if (!s.ok()) return s;
   }
-  total_ += other.total_;
+  total_ = merged_total;
   return Status::Ok();
 }
 

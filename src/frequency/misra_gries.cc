@@ -116,11 +116,28 @@ Status MisraGries::Merge(const MisraGries& other) {
     return Status::InvalidArgument(
         "MisraGries merge requires equal counter budget");
   }
+  // Images may carry any positive counts and totals; refuse a merge whose
+  // sums would overflow before anything moves.
+  int64_t merged_total = 0, merged_decrements = 0;
+  bool overflow =
+      __builtin_add_overflow(total_, other.total_, &merged_total) ||
+      __builtin_add_overflow(decrement_total_, other.decrement_total_,
+                             &merged_decrements);
+  for (const auto& [item, count] : other.counters_) {
+    if (overflow) break;
+    const auto mine = counters_.find(item);
+    int64_t sum;
+    overflow = mine != counters_.end() &&
+               __builtin_add_overflow(mine->second, count, &sum);
+  }
+  if (overflow) {
+    return Status::OutOfRange("MisraGries merge overflows a count or total");
+  }
   for (const auto& [item, count] : other.counters_) {
     counters_[item] += count;
   }
-  total_ += other.total_;
-  decrement_total_ += other.decrement_total_;
+  total_ = merged_total;
+  decrement_total_ = merged_decrements;
 
   if (counters_.size() > num_counters_) {
     // Subtract the (num_counters+1)-th largest count from everything.

@@ -1,6 +1,7 @@
 #include "frequency/space_saving.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/check.h"
@@ -57,26 +58,36 @@ void SpaceSaving::Update(uint64_t item, int64_t weight) {
     return;
   }
 
-  const size_t found = FindSlot(item);
-  if (found < slots_.size()) {
-    slots_[found].count += weight;
-    return;
-  }
   if (slots_.size() < capacity_) {
-    slots_.push_back(Slot{item, weight, 0});
+    const size_t found = FindSlot(item);
+    if (found < slots_.size()) {
+      slots_[found].count += weight;
+    } else {
+      slots_.push_back(Slot{item, weight, 0});
+    }
     return;
   }
-  // Evict the minimum (smallest item id among tied counts — see Update's
-  // contract); the newcomer inherits its count as error, in place.
+  // Full: one pass finds the item or, failing that, the victim — the
+  // minimum (smallest item id among tied counts — see Update's contract).
+  // The victim test nests the rarely-true tie-break under a count test
+  // the scan mostly fails.
   size_t weakest = 0;
-  for (size_t i = 1; i < slots_.size(); ++i) {
-    if (slots_[i].count < slots_[weakest].count ||
-        (slots_[i].count == slots_[weakest].count &&
-         slots_[i].item < slots_[weakest].item)) {
+  int64_t min_count = slots_[0].count;
+  uint64_t min_item = slots_[0].item;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.item == item) {
+      slots_[i].count += weight;
+      return;
+    }
+    if (slot.count <= min_count &&
+        (slot.count < min_count || slot.item < min_item)) {
       weakest = i;
+      min_count = slot.count;
+      min_item = slot.item;
     }
   }
-  const int64_t min_count = slots_[weakest].count;
+  // The newcomer inherits the victim's count as error, in place.
   slots_[weakest] = Slot{item, min_count + weight, min_count};
 }
 
@@ -281,23 +292,26 @@ std::vector<uint64_t> SpaceSaving::HeavyHitterCandidates(double phi) const {
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::Entries() const {
+  return TopK(slots_.size());
+}
+
+std::vector<SpaceSaving::Entry> SpaceSaving::TopK(size_t k) const {
   std::vector<Entry> out;
   out.reserve(slots_.size());
   for (const Slot& slot : slots_) {
     out.push_back(Entry{slot.item, slot.count, slot.error});
   }
-  // Canonical order: count desc, then item asc (stable across round trips).
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  // Canonical order (stable across round trips) is a strict total order
+  // over distinct items, so a partial sort of the first k is exactly the
+  // head of the full sort.
+  if (k < out.size()) {
+    std::partial_sort(out.begin(), out.begin() + static_cast<ptrdiff_t>(k),
+                      out.end(), Heavier());
+    out.resize(k);
+  } else {
+    std::sort(out.begin(), out.end(), Heavier());
+  }
   return out;
-}
-
-std::vector<SpaceSaving::Entry> SpaceSaving::TopK(size_t k) const {
-  std::vector<Entry> all = Entries();
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 Status SpaceSaving::Merge(const SpaceSaving& other) {
@@ -312,33 +326,91 @@ Status SpaceSaving::Merge(const SpaceSaving& other) {
   }
   // Combine: items in both get summed counts and errors; items in only one
   // side could have appeared up to the other side's MinCount times unseen,
-  // which stays within the inherited-error accounting below. Both tracked
-  // sets are small flat arrays: concatenate, sort by item, fold adjacent
-  // duplicates — no hashing, no node allocation.
-  std::vector<Slot> all;
-  all.reserve(slots_.size() + other.slots_.size());
-  all.insert(all.end(), slots_.begin(), slots_.end());
-  all.insert(all.end(), other.slots_.begin(), other.slots_.end());
-  std::sort(all.begin(), all.end(),
-            [](const Slot& a, const Slot& b) { return a.item < b.item; });
-  size_t out = 0;
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (out > 0 && all[out - 1].item == all[i].item) {
-      all[out - 1].count += all[i].count;
-      all[out - 1].error += all[i].error;
+  // which stays within the inherited-error accounting below. The peer's
+  // slots fold into this side's through a small open-addressing table of
+  // this side's items; peer-only items become new slots.
+  // This side is put in canonical (count desc, item asc) order first; an
+  // earlier merge usually left it so (every pane-ring cache and memo).
+  if (!std::is_sorted(slots_.begin(), slots_.end(), Heavier())) {
+    std::sort(slots_.begin(), slots_.end(), Heavier());
+  }
+  const size_t n = slots_.size();
+  const size_t table_size = std::bit_ceil(2 * (n + 1));
+  const size_t mask = table_size - 1;
+  // [0, table_size): slot id + 1 per cell (0 = empty); then one touched
+  // flag per existing slot. Small merges (the pane-ring caches) keep it on
+  // the stack.
+  constexpr size_t kStackWords = 512;
+  std::array<uint32_t, kStackWords> stack_words;
+  std::vector<uint32_t> heap_words;
+  uint32_t* table = stack_words.data();
+  if (table_size + n > kStackWords) {
+    heap_words.resize(table_size + n);
+    table = heap_words.data();
+  }
+  std::fill_n(table, table_size + n, 0);
+  uint32_t* touched = table + table_size;
+  const auto home = [mask](uint64_t item) {
+    return murmur3_detail::FMix64(item) & mask;
+  };
+  for (size_t id = 0; id < n; ++id) {
+    size_t cell = home(slots_[id].item);
+    while (table[cell] != 0) cell = (cell + 1) & mask;
+    table[cell] = static_cast<uint32_t>(id + 1);
+  }
+  // Touched and new slots, once the fold is done: at most one per peer
+  // slot, on the stack for small peers.
+  constexpr size_t kStackSlots = 64;
+  std::array<Slot, kStackSlots> stack_slots;
+  std::vector<Slot> heap_slots;
+  Slot* moved = stack_slots.data();
+  if (other.slots_.size() > kStackSlots) {
+    heap_slots.resize(other.slots_.size());
+    moved = heap_slots.data();
+  }
+  size_t num_moved = 0;
+  for (const Slot& peer : other.slots_) {
+    size_t cell = home(peer.item);
+    while (table[cell] != 0 && slots_[table[cell] - 1].item != peer.item) {
+      cell = (cell + 1) & mask;
+    }
+    if (table[cell] == 0) {
+      moved[num_moved++] = peer;
+      continue;
+    }
+    Slot& mine = slots_[table[cell] - 1];
+    mine.count += peer.count;
+    mine.error += peer.error;
+    touched[table[cell] - 1] = 1;
+  }
+  // Keep the `capacity_` heaviest in canonical order; surviving items are
+  // unchanged (their counts remain valid overestimates of their true
+  // totals). Untouched slots are still in order: sort only the touched and
+  // new ones, then merge the two runs in place from the back. Canonical
+  // order is a strict total order over distinct items, so the result does
+  // not depend on how it is reached.
+  size_t kept = 0;
+  for (size_t id = 0; id < n; ++id) {
+    if (touched[id]) {
+      moved[num_moved++] = slots_[id];
     } else {
-      all[out++] = all[i];
+      slots_[kept++] = slots_[id];
     }
   }
-  all.resize(out);
-  // Keep the `capacity_` largest by count; surviving items are unchanged
-  // (their counts remain valid overestimates of their true totals).
-  std::sort(all.begin(), all.end(), [](const Slot& a, const Slot& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (all.size() > capacity_) all.resize(capacity_);
-  slots_ = std::move(all);
+  std::sort(moved, moved + num_moved, Heavier());
+  slots_.reserve(kept + num_moved);  // Exact: caches live long.
+  slots_.resize(kept + num_moved);
+  size_t a = kept;
+  size_t b = num_moved;
+  for (size_t out = slots_.size(); b > 0;) {
+    // The lighter of the two runs' tails goes last.
+    if (a > 0 && Heavier()(moved[b - 1], slots_[a - 1])) {
+      slots_[--out] = slots_[--a];
+    } else {
+      slots_[--out] = moved[--b];
+    }
+  }
+  if (slots_.size() > capacity_) slots_.resize(capacity_);
   index_.reset();  // Stale; the next Update rebuilds it.
   total_ = merged_total;
   return Status::Ok();

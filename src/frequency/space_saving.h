@@ -26,12 +26,14 @@ namespace gems {
 ///
 /// Storage is one flat unsorted vector of (item, count, error) slots: a
 /// new item is appended, an evicted slot is overwritten in place, and
-/// Merge leaves the slots in count-descending order. How a slot is found
-/// depends on the capacity, and never changes the slots themselves:
+/// Merge leaves the slots in canonical (count desc, item asc) order. How a
+/// slot is found depends on the capacity, and never changes the slots
+/// themselves:
 ///
-/// - capacity <= 128: a linear scan for the item, and a second scan for
-///   the minimum on a miss. Over a contiguous ~24-byte-per-slot array this
-///   beats any index: no side structure to allocate, copy or keep in step.
+/// - capacity <= 128: a linear scan for the item; once the summary is
+///   full, the same pass also tracks the eviction victim, so a miss costs
+///   one scan. Over a contiguous ~24-byte-per-slot array this beats any
+///   index: no side structure to allocate, copy or keep in step.
 ///   The stream engine's TOP-K panes (64-88 slots, copied and merged on
 ///   every pane rotation, ~10^5 live summaries) sit here; indexing them
 ///   too measured 4-11% lower engine throughput and +1.8 MiB peak RSS
@@ -50,6 +52,14 @@ namespace gems {
 /// single pointer, so a summary that never needs it (the ~10^5 small ones,
 /// a merge target, a restored checkpoint) pays 8 bytes for it. Merge and
 /// Deserialize drop the index; the next Update rebuilds it in O(k).
+///
+/// Merge folds the peer's slots into this side's through a throwaway
+/// open-addressing table (item -> slot), so it never sorts by item. This
+/// side is first put in canonical order, which the stream engine's
+/// pane-ring caches already have from an earlier merge; then only the
+/// touched and new slots are sorted and merged with the untouched,
+/// still-ordered run. Canonical order is a strict total order over
+/// distinct items, so the result is the same as one full sort.
 class SpaceSaving {
  public:
   /// Wire-format type tag, for View<SpaceSaving> wrapping.
@@ -115,16 +125,18 @@ class SpaceSaving {
   };
   std::vector<Entry> Entries() const;
 
-  /// Top-k by estimated count.
+  /// Top-k by estimated count: the first min(k, NumTracked()) of Entries(),
+  /// by partial sort.
   std::vector<Entry> TopK(size_t k) const;
 
   /// Merge preserving the SpaceSaving error guarantees (combined counts and
   /// errors added for shared items; then truncated back to capacity, with
-  /// the truncation folded into the kept items' admissible error).
+  /// the truncation folded into the kept items' admissible error). Leaves
+  /// the slots in canonical (count desc, item asc) order.
   Status Merge(const SpaceSaving& other);
 
   /// Merges a wrapped serialized peer. The merge rebuilds the tracked set
-  /// (combine, sort, truncate), so this materializes one temporary from
+  /// (fold, order, truncate), so this materializes one temporary from
   /// the view (skipping only the caller-side envelope copy) —
   /// byte-identical to Merge(*view.Materialize()) by construction.
   Status MergeFromView(const View<SpaceSaving>& view);
@@ -147,6 +159,15 @@ class SpaceSaving {
     uint64_t item;
     int64_t count;
     int64_t error;
+  };
+
+  /// Canonical order: count desc, then item asc (for Slot and Entry).
+  struct Heavier {
+    template <typename T>
+    bool operator()(const T& a, const T& b) const {
+      if (a.count != b.count) return a.count > b.count;
+      return a.item < b.item;
+    }
   };
 
   /// Index of `item`'s slot, or slots_.size() if untracked, by scan.

@@ -61,6 +61,13 @@ class SlidingHyperLogLog {
   /// the batch's timestamp column when it carries one.
   void ApplyHashed(const HashedBatch& batch);
 
+  /// Advances to `timestamp` and exposes the pane it lands in for direct
+  /// mutation (hash words through UpdateHash) — the stream engine's
+  /// group-run entry point. The caller must only add data.
+  HyperLogLog& SummaryAt(uint64_t timestamp) {
+    return ring_.SummaryAt(timestamp);
+  }
+
   /// Advances the window clock without adding data (rotates/expires
   /// panes). Late `now` clamps.
   void Advance(uint64_t now) { ring_.Advance(now); }

@@ -12,6 +12,7 @@
 #include "engine/sliding_window.h"
 #include "engine/stream_query.h"
 #include "frequency/count_min.h"
+#include "hash/xxhash.h"
 #include "workload/baselines.h"
 #include "workload/generators.h"
 
@@ -404,6 +405,76 @@ TEST(StreamQueryTest, RestoreRejectsMismatchedOptionsAndCorruption) {
         << "flip at " << pos << ": " << s.ToString();
   }
   EXPECT_EQ(victim.NumOpenGroups(), 1u);  // Still its own state.
+}
+
+/// Re-seals a checkpoint body edited in place: recomputes the trailing
+/// XXH64 (seed "QSMG"), as a forger would.
+std::vector<uint8_t> Reseal(std::vector<uint8_t> image) {
+  const size_t body = image.size() - 8;
+  const uint64_t checksum = XxHash64(image.data(), body, 0x474D5351);
+  for (int i = 0; i < 8; ++i) {
+    image[body + i] = static_cast<uint8_t>(checksum >> (8 * i));
+  }
+  return image;
+}
+
+TEST(StreamQueryTest, RestoreRejectsSketchesThatDoNotMatchTheQuery) {
+  // Checkpoint fingerprint offsets: aggregate at 5, HLL precision at 22,
+  // the TOP-K capacity varint at 23.
+  constexpr size_t kAggregateAt = 5, kPrecisionAt = 22, kCapacityAt = 23;
+
+  // A SUM image relabelled COUNT DISTINCT: its groups carry no HLL, which
+  // the first emission would read.
+  StreamQuery::Options sum;
+  sum.aggregate = AggregateKind::kSum;
+  sum.window_size = 10;
+  StreamQuery summed(sum, 1);
+  ASSERT_TRUE(summed.Process(Event(1, 4, 9)).ok());
+  std::vector<uint8_t> image = summed.SerializeState();
+  image[kAggregateAt] = static_cast<uint8_t>(AggregateKind::kCountDistinct);
+  image[kPrecisionAt] = 12;
+  StreamQuery::Options distinct = sum;
+  distinct.aggregate = AggregateKind::kCountDistinct;
+  distinct.hll_precision = 12;
+  StreamQuery relabelled(distinct, 1);
+  EXPECT_EQ(relabelled.RestoreState(Reseal(image)).code(),
+            StatusCode::kCorruption);
+
+  // A sliding TOP-K image whose fingerprint claims a larger capacity than
+  // its panes have: the ring could not merge them.
+  StreamQuery::Options top;
+  top.aggregate = AggregateKind::kTopK;
+  top.window_size = 12;
+  top.slide = 3;
+  top.top_k_capacity = 8;
+  top.top_k = 2;
+  StreamQuery small(top, 1);
+  ASSERT_TRUE(small.Process(Event(1, 4, 9)).ok());
+  image = small.SerializeState();
+  ASSERT_EQ(image[kCapacityAt], 8);
+  image[kCapacityAt] = 9;
+  top.top_k_capacity = 9;
+  StreamQuery larger(top, 1);
+  EXPECT_EQ(larger.RestoreState(Reseal(image)).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(StreamQueryTest, BatchedCoreRejectsRunsBuiltForOtherEventsOrPeriods) {
+  StreamQuery::Options options;
+  options.aggregate = AggregateKind::kSum;
+  options.window_size = 10;
+  StreamQuery query(options, 1);
+  const std::vector<StreamEvent> events = {Event(1, 4, 9), Event(12, 4, 9)};
+  const std::vector<StreamEvent> copy = events;
+  const uint64_t own = 10, other = 7;
+  GroupRuns runs;
+  runs.Build(events, std::span<const uint64_t>(&own, 1));
+  ASSERT_TRUE(query.ProcessBatchPrehashed(events, runs, {}, {}).ok());
+  // Runs of an equal-length copy, or runs cut at another query's period,
+  // would skip this query's window closes: refused, not applied.
+  EXPECT_DEATH((void)query.ProcessBatchPrehashed(copy, runs, {}, {}), "");
+  runs.Build(events, std::span<const uint64_t>(&other, 1));
+  EXPECT_DEATH((void)query.ProcessBatchPrehashed(events, runs, {}, {}), "");
 }
 
 TEST(StreamQueryTest, LiveDistinctPublishesUnderIngest) {

@@ -844,6 +844,14 @@ class ScanSpaceSaving {
     return out;
   }
 
+  // The first k entries of the canonical order.
+  std::vector<SpaceSaving::Entry> TopK(size_t k) const {
+    ScanSpaceSaving sorted = *this;
+    sorted.Canonicalize();
+    if (sorted.slots_.size() > k) sorted.slots_.resize(k);
+    return sorted.slots_;
+  }
+
   int64_t MinCount() const {
     if (slots_.size() < capacity_ || slots_.empty()) return 0;
     int64_t min_count = slots_[0].count;
@@ -887,10 +895,27 @@ class ScanSpaceSaving {
   std::vector<SpaceSaving::Entry> slots_;
 };
 
+void ExpectSameEntries(const std::vector<SpaceSaving::Entry>& got,
+                       const std::vector<SpaceSaving::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].item, want[i].item) << i;
+    ASSERT_EQ(got[i].count, want[i].count) << i;
+    ASSERT_EQ(got[i].error, want[i].error) << i;
+  }
+}
+
 void ExpectSameSummary(const SpaceSaving& got, const ScanSpaceSaving& want,
                        uint64_t universe, Rng& rng) {
   ASSERT_EQ(got.Serialize(), want.Serialize());
   EXPECT_EQ(got.MinCount(), want.MinCount());
+  // TopK is a partial sort below the tracked size and a full one at or
+  // above it.
+  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, got.capacity(),
+                   got.NumTracked() + 1}) {
+    SCOPED_TRACE(::testing::Message() << "TopK(" << k << ")");
+    ExpectSameEntries(got.TopK(k), want.TopK(k));
+  }
   // Candidate order is slot order, so this pins the layout too.
   for (double phi : {0.0, 0.001, 0.01, 0.1}) {
     ASSERT_EQ(got.HeavyHitterCandidates(phi), want.HeavyHitterCandidates(phi));
@@ -1004,6 +1029,73 @@ TEST(SpaceSavingTest, MatchesLinearScanReference) {
       RunDifferential(capacity, ties, 1000 * capacity + (ties ? 1 : 0));
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+// Merge shapes the random op mix reaches rarely or never: into an empty
+// summary, from an empty peer, into a count-sorted target (every merge
+// result is one) with heavy overlap, and all-ties summaries.
+void RunMergeShapes(size_t capacity) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+  Rng rng(capacity);
+  const uint64_t universe = capacity + capacity / 4 + 3;
+  const auto fill = [&](SpaceSaving& got, ScanSpaceSaving& want, size_t n,
+                        uint64_t lo, uint64_t span, bool unit) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t item = lo + rng.NextBounded(span);
+      const int64_t weight =
+          unit ? 1 : 1 + static_cast<int64_t>(rng.NextBounded(5));
+      got.Update(item, weight);
+      want.Update(item, weight);
+    }
+  };
+
+  // Into an empty summary, then from an empty peer.
+  SpaceSaving got(capacity);
+  ScanSpaceSaving want(capacity);
+  SpaceSaving peer(capacity);
+  ScanSpaceSaving peer_want(capacity);
+  fill(peer, peer_want, 3 * capacity, 0, universe, false);
+  ASSERT_TRUE(got.Merge(peer).ok());
+  want.Merge(peer_want);
+  ExpectSameSummary(got, want, universe, rng);
+  fill(got, want, capacity, 0, universe, false);  // Unsorted again.
+  ASSERT_TRUE(got.Merge(SpaceSaving(capacity)).ok());
+  want.Merge(ScanSpaceSaving(capacity));
+  ExpectSameSummary(got, want, universe, rng);
+
+  // A count-sorted target (the last merge left it so) taking peers that
+  // overlap it heavily, several times over.
+  for (int round = 0; round < 6; ++round) {
+    SpaceSaving overlap(capacity);
+    ScanSpaceSaving overlap_want(capacity);
+    fill(overlap, overlap_want, 2 * capacity, round, universe, false);
+    ASSERT_TRUE(got.Merge(overlap).ok());
+    want.Merge(overlap_want);
+    ExpectSameSummary(got, want, universe, rng);
+  }
+
+  // All ties: every count 1 on both sides, half the items shared.
+  SpaceSaving ties(capacity), ties_peer(capacity);
+  ScanSpaceSaving ties_want(capacity), ties_peer_want(capacity);
+  for (uint64_t item = 0; item < capacity; ++item) {
+    ties.Update(2 * item);
+    ties_want.Update(2 * item);
+    ties_peer.Update(item);
+    ties_peer_want.Update(item);
+  }
+  ASSERT_TRUE(ties.Merge(ties_peer).ok());
+  ties_want.Merge(ties_peer_want);
+  ExpectSameSummary(ties, ties_want, 2 * capacity, rng);
+  ASSERT_TRUE(ties.Merge(ties_peer).ok());  // Sorted target, all tied peer.
+  ties_want.Merge(ties_peer_want);
+  ExpectSameSummary(ties, ties_want, 2 * capacity, rng);
+}
+
+TEST(SpaceSavingTest, MergeShapesMatchLinearScanReference) {
+  for (size_t capacity : {1, 2, 64, 128, 129, 1024}) {
+    RunMergeShapes(capacity);
+    if (HasFatalFailure()) return;
   }
 }
 

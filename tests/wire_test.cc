@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "cardinality/hyperloglog.h"
+#include "common/bytes.h"
 #include "common/status.h"
 #include "core/registry.h"
 #include "core/summary.h"
@@ -19,6 +20,8 @@
 #include "core/wire.h"
 #include "core/io.h"
 #include "frequency/count_min.h"
+#include "frequency/dyadic_count_min.h"
+#include "frequency/misra_gries.h"
 #include "frequency/space_saving.h"
 #include "graph/agm.h"
 #include "membership/bloom.h"
@@ -379,6 +382,61 @@ TEST_F(WireTest, SpaceSavingWeightBeyondTotalIsRejected) {
   EXPECT_EQ(acc.value().MergeFromView(view.value()).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(acc.value().Serialize(), heavy);
+}
+
+TEST_F(WireTest, CountMinMergeOverflowIsRefused) {
+  // Two valid sketches whose totals together overflow int64: Merge and
+  // MergeFromView refuse with kOutOfRange before any counter moves, in
+  // both counter layouts.
+  for (SketchLayout layout : {SketchLayout::kFlat, SketchLayout::kBlocked}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    CountMinSketch heavy(64, 4, 9, /*conservative_update=*/false, layout);
+    heavy.Update(7, INT64_MAX / 2 + 1);
+    const std::vector<uint8_t> bytes = heavy.Serialize();
+    CountMinSketch acc = heavy;
+    EXPECT_EQ(acc.Merge(heavy).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(acc.Serialize(), bytes);
+    Result<View<CountMinSketch>> view = View<CountMinSketch>::Wrap(bytes);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(acc.MergeFromView(view.value()).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(acc.Serialize(), bytes);
+  }
+}
+
+TEST_F(WireTest, MisraGriesMergeOverflowIsRefused) {
+  // Totals that overflow together.
+  MisraGries heavy(8);
+  heavy.Update(7, INT64_MAX / 2 + 1);
+  MisraGries acc = heavy;
+  EXPECT_EQ(acc.Merge(heavy).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(acc.Serialize(), heavy.Serialize());
+
+  // A hostile image whose shared count overflows while its totals do not.
+  ByteWriter w;
+  w.PutVarint(8);          // Counters.
+  w.PutI64(0);             // Total.
+  w.PutI64(0);             // Decrements.
+  w.PutVarint(1);          // Entries.
+  w.PutU64(7);
+  w.PutI64(INT64_MAX);
+  const std::vector<uint8_t> image =
+      WrapEnvelope(SketchTypeId::kMisraGries, std::move(w).TakeBytes());
+  Result<MisraGries> hostile = MisraGries::Deserialize(image);
+  ASSERT_TRUE(hostile.ok());
+  EXPECT_EQ(hostile.value().Merge(hostile.value()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(hostile.value().Serialize(), image);
+}
+
+TEST_F(WireTest, DyadicCountMinMergeOverflowIsRefused) {
+  DyadicCountMin heavy(8, 64, 4, 3);
+  heavy.Update(5, INT64_MAX / 2 + 1);
+  DyadicCountMin acc = heavy;
+  EXPECT_EQ(acc.Merge(heavy).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(acc.TotalWeight(), heavy.TotalWeight());
+  // No level moved either.
+  EXPECT_EQ(acc.EstimateRangeSum(0, 255), heavy.EstimateRangeSum(0, 255));
+  EXPECT_EQ(acc.EstimateRangeSum(5, 5), heavy.EstimateRangeSum(5, 5));
 }
 
 TEST_F(WireTest, EmptyHandleOperationsFailCleanly) {

@@ -15,10 +15,10 @@
 /// ingest, then reuses the freed workers for the parallel merge tree, and
 /// the engine's ProcessBatchParallel borrows it per window segment. Task
 /// dispatch goes through one mutex-protected FIFO — fine for the coarse
-/// tasks scheduled here (a drain loop, a merge group, a bucket of GROUP-BY
-/// updates), which each amortize the queue round-trip over thousands of
-/// sketch updates. The per-item hot path never touches this queue; it runs
-/// inside a task, on SPSC rings and private shards.
+/// tasks scheduled here (a drain loop, a merge group, a share of a window
+/// segment's GROUP-BY runs), which each amortize the queue round-trip over
+/// thousands of sketch updates. The per-item hot path never touches this
+/// queue; it runs inside a task, on SPSC rings and private shards.
 
 namespace gems {
 

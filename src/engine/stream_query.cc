@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <utility>
+#include <variant>
 
 #include "common/bytes.h"
 #include "common/check.h"
-#include "core/registry.h"
-#include "distributed/aggregation.h"
 #include "hash/hash.h"
 #include "hash/hashed_batch.h"
 #include "hash/murmur3.h"
@@ -21,96 +21,177 @@ namespace {
 /// standard wire envelopes; this header frames the engine-level state
 /// around them. The whole container carries a trailing XXH64 checksum so
 /// damage to engine-level fields (sums, window bounds) is caught just as
-/// reliably as damage inside a sketch envelope.
+/// reliably as damage inside a sketch envelope. Only version 3 restores;
+/// earlier images (no sliding TOP-K or QUANTILES, raw option knobs in the
+/// fingerprint) are refused.
 constexpr uint32_t kCheckpointMagic = 0x514D4547;  // "GEMQ" little-endian.
-/// Version 2 added the sliding-window fields (the `slide` option in the
-/// fingerprint and the kHasSliding presence bit); version 3 added sliding
-/// TOP-K and QUANTILES pane rings. Version-1 and -2 images are still
-/// restorable into queries without the newer state.
 constexpr uint8_t kCheckpointVersion = 3;
 constexpr uint64_t kCheckpointChecksumSeed = 0x474D5351;  // "QSMG".
 
-/// Presence bits for the per-group optional sketches.
-constexpr uint8_t kHasDistinct = 1;
-constexpr uint8_t kHasTop = 2;
-constexpr uint8_t kHasQuantiles = 4;
-constexpr uint8_t kHasSliding = 8;
-constexpr uint8_t kHasSlidingTop = 16;
-constexpr uint8_t kHasSlidingQuantiles = 32;
+// One overload per group-state alternative for each job — update, pick
+// the pane, snapshot, serialize, restore — so nothing below switches on
+// the aggregate or the window shape.
 
-/// Restores one sketch envelope through the registry, downcasting to the
-/// concrete type the engine expects for this aggregate. The envelope is
-/// parsed in place (a borrowed view of the checkpoint body), so restore
-/// never copies sketch bytes into an intermediate buffer.
-template <typename S>
-Status RestoreSketch(ByteReader* reader, std::optional<S>* out) {
-  std::span<const uint8_t> envelope;
-  if (Status s = reader->GetBytesView(&envelope); !s.ok()) return s;
-  Result<AnySketch> any = SketchRegistry::Global().Deserialize(envelope);
-  if (!any.ok()) return any.status();
-  const S* sketch = any.value().template As<S>();
-  if (sketch == nullptr) {
-    return Status::Corruption(
-        std::string("checkpoint: unexpected sketch type ") +
-        any.value().type_name());
-  }
-  out->emplace(*sketch);
-  return Status::Ok();
+/// Adds one accepted event to the sketch it lands in: the HLL takes the
+/// item's hash word under the query seed, SpaceSaving the item weighted
+/// max(1, value), KLL the value, and SUM adds the value.
+void Add(HyperLogLog& hll, const StreamEvent&, uint64_t hash) {
+  hll.UpdateHash(hash);
+}
+void Add(SpaceSaving& top, const StreamEvent& event, uint64_t) {
+  top.Update(event.item, std::max<int64_t>(1, event.value));
+}
+void Add(KllSketch& kll, const StreamEvent& event, uint64_t) {
+  kll.Update(static_cast<double>(event.value));
+}
+void Add(int64_t& sum, const StreamEvent& event, uint64_t) {
+  sum += event.value;
 }
 
-/// Serializes a pane ring as engine-level state: the ring clock, then each
-/// live pane as (pane id, standard wire envelope) — so a registry-aware
-/// reader can still inspect every sketch inside a checkpoint. The sliding
-/// COUNT DISTINCT state predates this helper and stays a single
-/// SlidingHyperLogLog envelope for v2 compatibility.
+/// The sketch an event at `timestamp` lands in: the state itself, or for a
+/// sliding window the ring's pane for that timestamp (opened if new).
 template <typename S>
-void SerializeRing(ByteWriter& w, const PaneRing<S>& ring) {
+S& PaneAt(S& state, uint64_t) {
+  return state;
+}
+HyperLogLog& PaneAt(SlidingHyperLogLog& state, uint64_t timestamp) {
+  return state.SummaryAt(timestamp);
+}
+template <typename S>
+S& PaneAt(PaneRing<S>& ring, uint64_t timestamp) {
+  return ring.SummaryAt(timestamp);
+}
+
+/// The summary of the window ending at `boundary` (exclusive): the state
+/// itself, or for a sliding window the ring advanced to the last instant
+/// before the boundary — which expires panes older than the window
+/// without opening the boundary's own pane — then its memoized merge,
+/// re-merged only if the group mutated since the last emission.
+template <typename S>
+const S& WindowAt(S& state, uint64_t) {
+  return state;
+}
+const HyperLogLog& WindowAt(SlidingHyperLogLog& state, uint64_t boundary) {
+  state.Advance(boundary - 1);
+  return state.WindowSummary();
+}
+template <typename S>
+const S& WindowAt(PaneRing<S>& ring, uint64_t boundary) {
+  ring.Advance(boundary - 1);
+  return ring.WindowSummary();
+}
+
+/// Turns a window's summary into its result row.
+void Fill(const HyperLogLog& hll, const StreamQuery::Options&,
+          GroupAggregate* out) {
+  out->scalar = hll.Estimate();
+}
+void Fill(const SpaceSaving& top, const StreamQuery::Options& options,
+          GroupAggregate* out) {
+  for (const SpaceSaving::Entry& entry : top.TopK(options.top_k)) {
+    out->top_items.emplace_back(entry.item, entry.count);
+  }
+}
+void Fill(const KllSketch& kll, const StreamQuery::Options& options,
+          GroupAggregate* out) {
+  if (kll.Count() == 0) {
+    out->quantiles.assign(options.quantile_points.size(), 0.0);
+  } else {
+    out->quantiles = kll.Quantiles(options.quantile_points);
+  }
+}
+void Fill(const int64_t& sum, const StreamQuery::Options&,
+          GroupAggregate* out) {
+  out->scalar = static_cast<double>(sum);
+}
+
+/// Writes a group's state after its sum and presence byte: nothing for
+/// SUM (the sum field holds it), a sketch's wire envelope, or a pane
+/// ring's clock followed by each live pane as (pane id, wire envelope) —
+/// so a registry-aware reader can still inspect every sketch inside a
+/// checkpoint. The sliding HLL is a sketch with its own envelope.
+void Put(ByteWriter&, const int64_t&) {}
+template <typename S>
+void Put(ByteWriter& w, const S& sketch) {
+  const std::vector<uint8_t> bytes = sketch.Serialize();
+  w.PutBytes(bytes.data(), bytes.size());
+}
+template <typename S>
+void Put(ByteWriter& w, const PaneRing<S>& ring) {
   w.PutU64(ring.last_timestamp());
   w.PutVarint(ring.NumLivePanes());
-  ring.ForEachPane([&w](uint64_t id, const S& summary) {
+  ring.ForEachPane([&w](uint64_t id, const S& pane) {
     w.PutU64(id);
-    const std::vector<uint8_t> bytes = summary.Serialize();
-    w.PutBytes(bytes.data(), bytes.size());
+    Put(w, pane);
   });
 }
 
-/// Whether a restored pane was built like the ring's prototype.
-bool SameParameters(const SpaceSaving& pane, const SpaceSaving& prototype) {
-  return pane.capacity() == prototype.capacity();
-}
-bool SameParameters(const KllSketch& pane, const KllSketch& prototype) {
-  return pane.k() == prototype.k();
+/// A group's presence byte in the checkpoint, from its GroupState
+/// alternative: 0 for SUM, then one bit per sketch in alternative order —
+/// HLL 1, SpaceSaving 2, KLL 4, sliding HLL 8, sliding TOP-K 16, sliding
+/// QUANTILES 32.
+uint8_t PresenceBit(size_t alternative) {
+  return alternative == 0 ? 0 : static_cast<uint8_t>(1u << (alternative - 1));
 }
 
-/// Restores a pane ring serialized by SerializeRing into a ring built from
-/// `prototype` with the query's pane geometry.
+/// Whether a restored sketch was built like the query builds it, so it
+/// merges with (and updates like) its fresh counterpart.
+bool SameParameters(const HyperLogLog& a, const HyperLogLog& b) {
+  return a.precision() == b.precision() && a.seed() == b.seed();
+}
+bool SameParameters(const SlidingHyperLogLog& a, const SlidingHyperLogLog& b) {
+  return a.precision() == b.precision() && a.seed() == b.seed() &&
+         a.pane_width() == b.pane_width() && a.num_panes() == b.num_panes();
+}
+bool SameParameters(const SpaceSaving& a, const SpaceSaving& b) {
+  return a.capacity() == b.capacity();
+}
+bool SameParameters(const KllSketch& a, const KllSketch& b) {
+  return a.k() == b.k();
+}
+
+/// Reads a group's state written by Put into `state`, which holds the
+/// group's fresh state; a sketch built with other parameters is
+/// kCorruption. Sketch envelopes are parsed in place (borrowed views of
+/// the checkpoint body).
+Status Get(ByteReader&, int64_t&) { return Status::Ok(); }
 template <typename S>
-Status RestoreRing(ByteReader* reader, const S& prototype, uint64_t pane_width,
-                   size_t num_panes, std::optional<PaneRing<S>>* out) {
+Status Get(ByteReader& r, S& state) {
+  std::span<const uint8_t> envelope;
+  if (Status s = r.GetBytesView(&envelope); !s.ok()) return s;
+  Result<S> restored = S::Deserialize(envelope);
+  if (!restored.ok()) return restored.status();
+  if (!SameParameters(restored.value(), state)) {
+    return Status::Corruption(
+        "stream query checkpoint: sketch parameters do not match the query");
+  }
+  state = std::move(restored).value();
+  return Status::Ok();
+}
+template <typename S>
+Status Get(ByteReader& r, PaneRing<S>& ring) {
   uint64_t last_timestamp, count;
-  if (Status s = reader->GetU64(&last_timestamp); !s.ok()) return s;
-  if (Status s = reader->GetVarint(&count); !s.ok()) return s;
-  PaneRing<S> ring(prototype, pane_width, num_panes);
+  if (Status s = r.GetU64(&last_timestamp); !s.ok()) return s;
+  if (Status s = r.GetVarint(&count); !s.ok()) return s;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id;
-    std::span<const uint8_t> envelope;
-    if (Status s = reader->GetU64(&id); !s.ok()) return s;
-    if (Status s = reader->GetBytesView(&envelope); !s.ok()) return s;
-    Result<S> pane = S::Deserialize(envelope);
-    if (!pane.ok()) return pane.status();
+    S pane = ring.prototype();
+    if (Status s = r.GetU64(&id); !s.ok()) return s;
     // The ring merges its panes with GEMS_CHECK, so a pane that cannot
     // merge with the prototype must stop here.
-    if (!SameParameters(pane.value(), prototype)) {
-      return Status::Corruption(
-          "stream query checkpoint: pane parameters do not match the query");
-    }
-    if (Status s = ring.AppendPane(id, std::move(pane).value()); !s.ok()) {
-      return s;
-    }
+    if (Status s = Get(r, pane); !s.ok()) return s;
+    if (Status s = ring.AppendPane(id, std::move(pane)); !s.ok()) return s;
+  }
+  // The clock sits in the newest pane, as Advance leaves it; an older
+  // clock, or a clock with no panes, would send later events to the wrong
+  // pane.
+  if (count == 0 ? last_timestamp != 0
+                 : last_timestamp / ring.pane_width() < ring.CurrentPaneId()) {
+    return Status::Corruption(
+        "stream query checkpoint: pane ring clock behind its panes");
   }
   // Restore the ring clock; AppendPane left it at zero.
   if (ring.started()) ring.Advance(last_timestamp);
-  out->emplace(std::move(ring));
   return Status::Ok();
 }
 
@@ -287,45 +368,37 @@ StreamQuery& StreamQuery::PublishDistinctTo(
   return *this;
 }
 
-StreamQuery::GroupState& StreamQuery::StateFor(uint64_t group) {
-  GroupState& state = groups_[group];
-  const size_t num_panes =
-      options_.slide > 0 ? options_.window_size / options_.slide : 0;
+StreamQuery::GroupState StreamQuery::NewState(uint64_t group) const {
+  const uint64_t slide = options_.slide;
+  const size_t num_panes = slide > 0 ? options_.window_size / slide : 0;
   switch (options_.aggregate) {
     case AggregateKind::kCountDistinct:
-      if (options_.slide > 0) {
-        if (!state.sliding.has_value()) {
-          state.sliding.emplace(options_.hll_precision, options_.slide,
-                                num_panes, seed_);
-        }
-      } else if (!state.distinct.has_value()) {
-        state.distinct.emplace(options_.hll_precision, seed_);
+      if (slide > 0) {
+        return SlidingHyperLogLog(options_.hll_precision, slide, num_panes,
+                                  seed_);
       }
-      break;
-    case AggregateKind::kTopK:
-      if (options_.slide > 0) {
-        if (!state.sliding_top.has_value()) {
-          state.sliding_top.emplace(SpaceSaving(options_.top_k_capacity),
-                                    options_.slide, num_panes);
-        }
-      } else if (!state.top.has_value()) {
-        state.top.emplace(options_.top_k_capacity);
-      }
-      break;
-    case AggregateKind::kQuantiles:
-      if (options_.slide > 0) {
-        if (!state.sliding_quantiles.has_value()) {
-          state.sliding_quantiles.emplace(
-              KllSketch(options_.kll_k, Hash64(group, seed_)), options_.slide,
-              num_panes);
-        }
-      } else if (!state.quantiles.has_value()) {
-        state.quantiles.emplace(options_.kll_k, Hash64(group, seed_));
-      }
-      break;
+      return HyperLogLog(options_.hll_precision, seed_);
+    case AggregateKind::kTopK: {
+      SpaceSaving top(options_.top_k_capacity);
+      if (slide > 0) return PaneRing<SpaceSaving>(top, slide, num_panes);
+      return top;
+    }
+    case AggregateKind::kQuantiles: {
+      // Per-group compaction seed, so groups do not compact in lockstep.
+      KllSketch quantiles(options_.kll_k, Hash64(group, seed_));
+      if (slide > 0) return PaneRing<KllSketch>(quantiles, slide, num_panes);
+      return quantiles;
+    }
     case AggregateKind::kSum:
-      break;
+      break;  // AdvanceWindow rejects sliding SUM before any group opens.
   }
+  return int64_t{0};
+}
+
+StreamQuery::GroupState& StreamQuery::StateFor(uint64_t group) {
+  if (GroupState* state = groups_.Find(group)) return *state;
+  GroupState& state = groups_[group];
+  state = NewState(group);
   return state;
 }
 
@@ -381,69 +454,59 @@ bool StreamQuery::PassesFilters(const StreamEvent& event) const {
   return true;
 }
 
-void StreamQuery::ApplyEvent(const StreamEvent& event) {
-  GroupState& state = StateFor(event.group);
-  switch (options_.aggregate) {
-    case AggregateKind::kCountDistinct:
-      if (options_.slide > 0) {
-        state.sliding->UpdateAt(event.timestamp, event.item);
-      } else {
-        state.distinct->Update(event.item);
-      }
-      if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
-      break;
-    case AggregateKind::kTopK:
-      if (options_.slide > 0) {
-        state.sliding_top->Update(event.timestamp, event.item,
-                                  std::max<int64_t>(1, event.value));
-      } else {
-        state.top->Update(event.item, std::max<int64_t>(1, event.value));
-      }
-      break;
-    case AggregateKind::kQuantiles:
-      if (options_.slide > 0) {
-        state.sliding_quantiles->Update(event.timestamp,
-                                        static_cast<double>(event.value));
-      } else {
-        state.quantiles->Update(static_cast<double>(event.value));
-      }
-      break;
-    case AggregateKind::kSum:
-      state.sum += event.value;
-      break;
-  }
-}
-
 Status StreamQuery::Process(const StreamEvent& event) {
   if (Status s = AdvanceWindow(event.timestamp, event.timestamp); !s.ok()) {
     return s;
   }
   if (!PassesFilters(event)) return Status::Ok();
-  ApplyEvent(event);
+  const uint64_t hash = options_.aggregate == AggregateKind::kCountDistinct
+                            ? Hash64(event.item, seed_)
+                            : 0;
+  std::visit(
+      [&](auto& state) { Add(PaneAt(state, event.timestamp), event, hash); },
+      StateFor(event.group));
+  if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
   return Status::Ok();
 }
 
 Status StreamQuery::ProcessBatch(std::span<const StreamEvent> events) {
+  return ProcessChunks(events, nullptr);
+}
+
+Status StreamQuery::ProcessBatchParallel(std::span<const StreamEvent> events,
+                                         ThreadPool& pool) {
+  return ProcessChunks(events, &pool);
+}
+
+Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
+                                          const GroupRuns& runs,
+                                          std::span<const uint64_t> hashes,
+                                          std::span<const uint8_t> accept) {
+  return ApplyRuns(events, runs, hashes, accept, nullptr);
+}
+
+Status StreamQuery::ProcessChunks(std::span<const StreamEvent> events,
+                                  ThreadPool* pool) {
   const uint64_t period =
       options_.slide > 0 ? options_.slide : options_.window_size;
   GroupRuns runs;
-  HashedBatch batch;
-  const bool distinct = options_.aggregate == AggregateKind::kCountDistinct;
+  std::vector<uint8_t> accept;
   constexpr size_t kChunk = 32768;
   while (!events.empty()) {
     const std::span<const StreamEvent> chunk =
         events.first(std::min(events.size(), kChunk));
     runs.Build(chunk, std::span<const uint64_t>(&period, 1));
-    // Hash-once: every group's HLL is built with the query seed, so one
-    // Hash64 per event serves whichever group (and pane) it lands in.
-    if (distinct) {
-      batch.ResetProjected(
-          chunk, [](const StreamEvent& event) { return event.item; }, seed_);
+    // Predicates run here, on this thread and in stream order, over the
+    // events the runs cover; the core (and its workers) read only the
+    // accept column.
+    accept.clear();
+    if (!filters_.empty()) {
+      accept.resize(chunk.size(), 0);
+      for (size_t i = 0; i < runs.ordered_prefix(); ++i) {
+        accept[i] = PassesFilters(chunk[i]) ? 1 : 0;
+      }
     }
-    if (Status s = ProcessBatchPrehashed(
-            chunk, runs,
-            distinct ? batch.hashes() : std::span<const uint64_t>(), {});
-        !s.ok()) {
+    if (Status s = ApplyRuns(chunk, runs, {}, accept, pool); !s.ok()) {
       return s;
     }
     events = events.subspan(chunk.size());
@@ -451,19 +514,34 @@ Status StreamQuery::ProcessBatch(std::span<const StreamEvent> events) {
   return Status::Ok();
 }
 
-Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
-                                          const GroupRuns& runs,
-                                          std::span<const uint64_t> hashes,
-                                          std::span<const uint8_t> accept) {
+Status StreamQuery::ApplyRuns(std::span<const StreamEvent> events,
+                              const GroupRuns& runs,
+                              std::span<const uint64_t> hashes,
+                              std::span<const uint8_t> accept,
+                              ThreadPool* pool) {
   GEMS_CHECK(hashes.empty() || hashes.size() == events.size());
   GEMS_CHECK(accept.empty() || accept.size() == events.size());
   GEMS_CHECK(runs.BuiltFrom(events));
   GEMS_CHECK(runs.CutsAt(options_.slide > 0 ? options_.slide
                                             : options_.window_size));
+  // Only HLLs read hash words. Without the caller's, hash once here: every
+  // group's HLL is built with the query seed, so one Hash64 per event
+  // serves whichever group (and pane) it lands in.
+  HashedBatch own;
+  if (options_.aggregate != AggregateKind::kCountDistinct) {
+    hashes = {};
+  } else if (hashes.empty()) {
+    own.ResetProjected(
+        events, [](const StreamEvent& event) { return event.item; }, seed_);
+    hashes = own.hashes();
+  }
   const std::span<const uint32_t> order = runs.order();
-  const auto accepts = [&](uint32_t i) {
-    return (accept.empty() || accept[i] != 0) && PassesFilters(events[i]);
+  const auto accepted = [&](uint32_t i) {
+    return accept.empty() || accept[i] != 0;
   };
+  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  // (run, accepted end) of the segment's runs left for the pool.
+  std::vector<std::pair<const GroupRuns::Run*, uint32_t>> dealt;
   for (const GroupRuns::Segment& segment : runs.segments()) {
     // No boundary of this query lies inside the segment, so its first
     // event makes every window close or emission the segment causes.
@@ -472,65 +550,41 @@ Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
         !s.ok()) {
       return s;
     }
+    dealt.clear();
     for (uint32_t r = segment.first_run; r < segment.end_run; ++r) {
       const GroupRuns::Run& run = runs.runs()[r];
       // Trim rejected events off the run's tail; a run with nothing
       // accepted touches no state (it must not create its group).
       uint32_t end = run.end;
-      while (end > run.begin && !accepts(order[end - 1])) --end;
+      while (end > run.begin && !accepted(order[end - 1])) --end;
       if (end == run.begin) continue;
-      const uint64_t last_ts = events[order[end - 1]].timestamp;
-      // Visits the run's accepted events in stream order; the last one is
-      // known to be accepted.
-      const auto for_each = [&](auto&& apply) {
-        for (uint32_t k = run.begin; k + 1 < end; ++k) {
-          if (accepts(order[k])) apply(order[k]);
-        }
-        apply(order[end - 1]);
-      };
+      // Groups are created here, on the calling thread, so the table
+      // never rehashes while workers hold its slots.
       GroupState& state = StateFor(run.group);
-      switch (options_.aggregate) {
-        case AggregateKind::kCountDistinct: {
-          // A sliding run lies in one pane: open it once, at the run's
-          // last accepted timestamp, as per-event UpdateAt leaves the ring.
-          HyperLogLog& hll = options_.slide > 0
-                                 ? state.sliding->SummaryAt(last_ts)
-                                 : *state.distinct;
-          for_each([&](uint32_t i) {
-            if (hashes.empty()) {
-              hll.Update(events[i].item);
-            } else {
-              hll.UpdateHash(hashes[i]);
-            }
-            // The live global buffers raw items (it re-hashes on its own
-            // batched drain), so it takes the item, not the hash word.
-            if (live_distinct_ != nullptr) {
-              live_distinct_->Update(events[i].item);
-            }
-          });
-          break;
-        }
-        case AggregateKind::kTopK: {
-          SpaceSaving& top = options_.slide > 0
-                                 ? state.sliding_top->SummaryAt(last_ts)
-                                 : *state.top;
-          for_each([&](uint32_t i) {
-            top.Update(events[i].item, std::max<int64_t>(1, events[i].value));
-          });
-          break;
-        }
-        case AggregateKind::kQuantiles: {
-          KllSketch& kll = options_.slide > 0
-                               ? state.sliding_quantiles->SummaryAt(last_ts)
-                               : *state.quantiles;
-          for_each([&](uint32_t i) {
-            kll.Update(static_cast<double>(events[i].value));
-          });
-          break;
-        }
-        case AggregateKind::kSum:
-          for_each([&](uint32_t i) { state.sum += events[i].value; });
-          break;
+      if (workers > 1) {
+        dealt.emplace_back(&run, end);
+      } else {
+        ApplyRun(state, events, order, run.begin, end, hashes, accept);
+      }
+    }
+    if (!dealt.empty()) {
+      // A run is one group's events, so workers never share state.
+      const size_t tasks_wanted = std::min(workers, dealt.size());
+      std::vector<std::function<void()>> tasks;
+      for (size_t t = 0; t < tasks_wanted; ++t) {
+        tasks.push_back([&, t, tasks_wanted] {
+          for (size_t k = t; k < dealt.size(); k += tasks_wanted) {
+            const auto [run, end] = dealt[k];
+            ApplyRun(*groups_.Find(run->group), events, order, run->begin,
+                     end, hashes, accept);
+          }
+        });
+      }
+      pool->RunAll(std::move(tasks));
+    }
+    if (live_distinct_ != nullptr) {
+      for (uint32_t i = segment.begin; i < segment.end; ++i) {
+        if (accepted(i)) live_distinct_->Update(events[i].item);
       }
     }
   }
@@ -544,123 +598,25 @@ Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
   return Status::Ok();
 }
 
-Status StreamQuery::ProcessBatchParallel(std::span<const StreamEvent> events,
-                                         ThreadPool& pool) {
-  const size_t num_workers = pool.num_threads();
-  if (num_workers <= 1 || options_.slide > 0) return ProcessBatch(events);
-
-  // One routed update: the owning worker applies item/value to the group's
-  // state. Groups are partitioned across workers by hash, so two workers
-  // never touch the same GroupState, and one group's updates stay in
-  // stream order — state ends up byte-identical to the sequential path.
-  // Workers re-find the group at apply time (one flat-table probe) because
-  // routing keeps inserting groups, and an insert may rehash the table.
-  struct Routed {
-    uint64_t group;
-    uint64_t item;
-    int64_t value;
-  };
-  std::vector<std::vector<Routed>> buckets(num_workers);
-  const InvariantMod worker_mod(num_workers);
-
-  auto apply_bucket = [this](std::vector<Routed>& bucket) {
-    switch (options_.aggregate) {
-      case AggregateKind::kCountDistinct: {
-        // Hash-once per worker: each worker hashes its own slice in the
-        // hoisted loop, then feeds precomputed words to its groups' HLLs
-        // (all built with the query seed).
-        uint64_t items[256];
-        uint64_t hashes[256];
-        for (size_t off = 0; off < bucket.size(); off += std::size(items)) {
-          const size_t n = std::min(bucket.size() - off, std::size(items));
-          for (size_t i = 0; i < n; ++i) items[i] = bucket[off + i].item;
-          HashBatch(std::span<const uint64_t>(items, n), seed_, hashes);
-          for (size_t i = 0; i < n; ++i) {
-            groups_.Find(bucket[off + i].group)->distinct->UpdateHash(
-                hashes[i]);
+void StreamQuery::ApplyRun(GroupState& state,
+                           std::span<const StreamEvent> events,
+                           std::span<const uint32_t> order, uint32_t begin,
+                           uint32_t end, std::span<const uint64_t> hashes,
+                           std::span<const uint8_t> accept) {
+  // A sliding run lies in one pane: open it once, at the run's last
+  // accepted timestamp, as per-event updates leave the ring.
+  const uint64_t last = events[order[end - 1]].timestamp;
+  std::visit(
+      [&](auto& group_state) {
+        auto& pane = PaneAt(group_state, last);
+        for (uint32_t k = begin; k < end; ++k) {
+          const uint32_t i = order[k];
+          if (accept.empty() || accept[i] != 0) {
+            Add(pane, events[i], hashes.empty() ? 0 : hashes[i]);
           }
         }
-        break;
-      }
-      case AggregateKind::kTopK:
-        for (const Routed& r : bucket) {
-          groups_.Find(r.group)->top->Update(r.item,
-                                             std::max<int64_t>(1, r.value));
-        }
-        break;
-      case AggregateKind::kQuantiles:
-        for (const Routed& r : bucket) {
-          groups_.Find(r.group)->quantiles->Update(
-              static_cast<double>(r.value));
-        }
-        break;
-      case AggregateKind::kSum:
-        for (const Routed& r : bucket) groups_.Find(r.group)->sum += r.value;
-        break;
-    }
-  };
-
-  auto flush = [&] {
-    std::vector<std::function<void()>> tasks;
-    for (std::vector<Routed>& bucket : buckets) {
-      if (bucket.empty()) continue;
-      tasks.push_back([&apply_bucket, &bucket] { apply_bucket(bucket); });
-    }
-    pool.RunAll(std::move(tasks));
-    for (std::vector<Routed>& bucket : buckets) bucket.clear();
-  };
-
-  for (const StreamEvent& event : events) {
-    // Pending routed updates must land before their window closes under
-    // them: CloseWindow snapshots and clears the group table out from
-    // under the group ids the buckets hold.
-    if (options_.window_size > 0 && window_initialized_ &&
-        event.timestamp >= current_window_start_ + options_.window_size) {
-      flush();
-    }
-    if (Status s = AdvanceWindow(event.timestamp, event.timestamp); !s.ok()) {
-      flush();  // Events routed before the error still apply, as in Process.
-      return s;
-    }
-    if (!PassesFilters(event)) continue;
-    StateFor(event.group);  // Materialize the group's sketch for apply.
-    buckets[ShardOf(event.group, worker_mod)].push_back(
-        {event.group, event.item, event.value});
-    // Mirrored on the routing (calling) thread, not the pool workers, so
-    // the live global sees one writer slot per query regardless of pool
-    // size; its own buffering keeps this off the routing hot path.
-    if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
-  }
-  flush();
-  return Status::Ok();
-}
-
-GroupAggregate StreamQuery::Snapshot(uint64_t group,
-                                     const GroupState& state) const {
-  GroupAggregate aggregate;
-  aggregate.group = group;
-  switch (options_.aggregate) {
-    case AggregateKind::kCountDistinct:
-      aggregate.scalar = state.distinct->Estimate();
-      break;
-    case AggregateKind::kTopK:
-      for (const SpaceSaving::Entry& entry : state.top->TopK(options_.top_k)) {
-        aggregate.top_items.emplace_back(entry.item, entry.count);
-      }
-      break;
-    case AggregateKind::kQuantiles:
-      if (state.quantiles->Count() == 0) {
-        aggregate.quantiles.assign(options_.quantile_points.size(), 0.0);
-      } else {
-        aggregate.quantiles =
-            state.quantiles->Quantiles(options_.quantile_points);
-      }
-      break;
-    case AggregateKind::kSum:
-      aggregate.scalar = static_cast<double>(state.sum);
-      break;
-  }
-  return aggregate;
+      },
+      state);
 }
 
 std::vector<std::pair<uint64_t, StreamQuery::GroupState*>>
@@ -680,67 +636,39 @@ StreamQuery::SortedGroups() const {
 }
 
 void StreamQuery::CloseWindow(uint64_t next_window_start) {
-  WindowResult result;
-  result.window_start = current_window_start_;
-  result.window_end = options_.window_size == 0
-                          ? last_timestamp_ + 1
-                          : current_window_start_ + options_.window_size;
-  for (const auto& [group, state] : SortedGroups()) {
-    result.groups.push_back(Snapshot(group, *state));
-  }
-  closed_.push_back(std::move(result));
+  EmitWindow(current_window_start_,
+             options_.window_size == 0
+                 ? last_timestamp_ + 1
+                 : current_window_start_ + options_.window_size);
   groups_.Clear();
   current_window_start_ = next_window_start;
-  // Window boundaries are the natural staleness bound for the live view:
-  // fold this thread's buffered residual so a reader is at most one open
-  // window behind the query.
-  if (live_distinct_ != nullptr) live_distinct_->FlushLocal();
 }
 
 void StreamQuery::EmitSlidingWindow(uint64_t boundary) {
+  EmitWindow(boundary >= options_.window_size
+                 ? boundary - options_.window_size
+                 : 0,
+             boundary);
+  current_window_start_ = boundary;
+}
+
+void StreamQuery::EmitWindow(uint64_t start, uint64_t end) {
   WindowResult result;
-  result.window_start = boundary >= options_.window_size
-                            ? boundary - options_.window_size
-                            : 0;
-  result.window_end = boundary;
+  result.window_start = start;
+  result.window_end = end;
   for (const auto& [group, state] : SortedGroups()) {
-    // Advancing to the last instant before the boundary expires panes
-    // older than the window without opening the boundary's own pane; the
-    // memoized WindowSummary() then re-merges only if this group mutated
-    // since the last emission.
-    GroupAggregate aggregate;
+    GroupAggregate& aggregate = result.groups.emplace_back();
     aggregate.group = group;
-    switch (options_.aggregate) {
-      case AggregateKind::kCountDistinct:
-        state->sliding->Advance(boundary - 1);
-        aggregate.scalar = state->sliding->WindowSummary().Estimate();
-        break;
-      case AggregateKind::kTopK: {
-        state->sliding_top->Advance(boundary - 1);
-        const SpaceSaving& window = state->sliding_top->WindowSummary();
-        for (const SpaceSaving::Entry& entry : window.TopK(options_.top_k)) {
-          aggregate.top_items.emplace_back(entry.item, entry.count);
-        }
-        break;
-      }
-      case AggregateKind::kQuantiles: {
-        state->sliding_quantiles->Advance(boundary - 1);
-        const KllSketch& window = state->sliding_quantiles->WindowSummary();
-        if (window.Count() == 0) {
-          aggregate.quantiles.assign(options_.quantile_points.size(), 0.0);
-        } else {
-          aggregate.quantiles = window.Quantiles(options_.quantile_points);
-        }
-        break;
-      }
-      case AggregateKind::kSum:
-        break;  // Unreachable: AdvanceWindow rejects sliding kSum.
-    }
-    result.groups.push_back(std::move(aggregate));
+    std::visit(
+        [&](auto& group_state) {
+          Fill(WindowAt(group_state, end), options_, &aggregate);
+        },
+        *state);
   }
   closed_.push_back(std::move(result));
-  current_window_start_ = boundary;
-  // Same staleness bound as tumbling closes for the live view.
+  // Window boundaries are the natural staleness bound for the live view:
+  // fold this thread's buffered residual so a reader is at most one open
+  // window behind the query.
   if (live_distinct_ != nullptr) live_distinct_->FlushLocal();
 }
 
@@ -795,37 +723,10 @@ std::vector<uint8_t> StreamQuery::SerializeState() const {
   w.PutVarint(groups_.size());
   for (const auto& [group, state] : SortedGroups()) {
     w.PutU64(group);
-    w.PutI64(state->sum);
-    uint8_t present = 0;
-    if (state->distinct.has_value()) present |= kHasDistinct;
-    if (state->top.has_value()) present |= kHasTop;
-    if (state->quantiles.has_value()) present |= kHasQuantiles;
-    if (state->sliding.has_value()) present |= kHasSliding;
-    if (state->sliding_top.has_value()) present |= kHasSlidingTop;
-    if (state->sliding_quantiles.has_value()) present |= kHasSlidingQuantiles;
-    w.PutU8(present);
-    if (state->distinct.has_value()) {
-      const std::vector<uint8_t> bytes = state->distinct->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->sliding.has_value()) {
-      const std::vector<uint8_t> bytes = state->sliding->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->sliding_top.has_value()) {
-      SerializeRing(w, *state->sliding_top);
-    }
-    if (state->sliding_quantiles.has_value()) {
-      SerializeRing(w, *state->sliding_quantiles);
-    }
-    if (state->top.has_value()) {
-      const std::vector<uint8_t> bytes = state->top->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->quantiles.has_value()) {
-      const std::vector<uint8_t> bytes = state->quantiles->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
+    const int64_t* sum = std::get_if<int64_t>(state);
+    w.PutI64(sum != nullptr ? *sum : 0);
+    w.PutU8(PresenceBit(state->index()));
+    std::visit([&w](const auto& group_state) { Put(w, group_state); }, *state);
   }
   // Closed-but-unpolled windows (already materialized results).
   engine_detail::SerializeWindows(w, closed_);
@@ -839,7 +740,6 @@ std::vector<uint8_t> StreamQuery::SerializeState() const {
 }
 
 Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
-  RegisterBuiltinSketches();
   if (bytes.size() < 8) {
     return Status::Corruption("stream query checkpoint: too short");
   }
@@ -859,31 +759,23 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
     return Status::Corruption("stream query checkpoint: bad magic");
   }
   if (Status s = r.GetU8(&version); !s.ok()) return s;
-  if (version < 1 || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return Status::Corruption(
         "stream query checkpoint: unsupported version");
   }
   uint8_t aggregate, hll_precision;
-  uint64_t window_size, slide = 0, top_capacity, top_k, seed;
+  uint64_t window_size, slide, top_capacity, top_k, seed;
   uint32_t kll_k;
   if (Status s = r.GetU8(&aggregate); !s.ok()) return s;
   if (Status s = r.GetU64(&window_size); !s.ok()) return s;
-  if (version >= 2) {
-    if (Status s = r.GetU64(&slide); !s.ok()) return s;
-  }
+  if (Status s = r.GetU64(&slide); !s.ok()) return s;
   if (Status s = r.GetU8(&hll_precision); !s.ok()) return s;
   if (Status s = r.GetVarint(&top_capacity); !s.ok()) return s;
   if (Status s = r.GetVarint(&top_k); !s.ok()) return s;
   if (Status s = r.GetU32(&kll_k); !s.ok()) return s;
   if (Status s = r.GetU64(&seed); !s.ok()) return s;
-  // Version 3 images carry aggregate-relevant knobs only (unused fields
-  // zeroed); version 1/2 images were written with the raw option values.
   const engine_detail::OptionKnobs expected =
-      version >= 3
-          ? engine_detail::RelevantKnobs(options_)
-          : engine_detail::OptionKnobs{
-                static_cast<uint8_t>(options_.hll_precision),
-                options_.top_k_capacity, options_.top_k, options_.kll_k};
+      engine_detail::RelevantKnobs(options_);
   if (aggregate != static_cast<uint8_t>(options_.aggregate) ||
       window_size != options_.window_size || slide != options_.slide ||
       hll_precision != expected.hll_precision ||
@@ -903,91 +795,33 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
   if (Status s = r.GetU64(&last_timestamp); !s.ok()) return s;
   if (Status s = r.GetVarint(&num_groups); !s.ok()) return s;
 
-  const size_t ring_panes =
-      options_.slide > 0 ? options_.window_size / options_.slide : 0;
-  uint8_t expected_present = 0;
-  switch (options_.aggregate) {
-    case AggregateKind::kCountDistinct:
-      expected_present = options_.slide > 0 ? kHasSliding : kHasDistinct;
-      break;
-    case AggregateKind::kTopK:
-      expected_present = options_.slide > 0 ? kHasSlidingTop : kHasTop;
-      break;
-    case AggregateKind::kQuantiles:
-      expected_present =
-          options_.slide > 0 ? kHasSlidingQuantiles : kHasQuantiles;
-      break;
-    case AggregateKind::kSum:
-      break;
-  }
   FlatMap64<GroupState> groups;
   for (uint64_t i = 0; i < num_groups; ++i) {
     uint64_t group;
+    int64_t sum;
     uint8_t present;
-    GroupState state;
     if (Status s = r.GetU64(&group); !s.ok()) return s;
-    if (Status s = r.GetI64(&state.sum); !s.ok()) return s;
+    if (Status s = r.GetI64(&sum); !s.ok()) return s;
     if (Status s = r.GetU8(&present); !s.ok()) return s;
-    uint8_t known = kHasDistinct | kHasTop | kHasQuantiles;
-    if (version >= 2) known |= kHasSliding;
-    if (version >= 3) known |= kHasSlidingTop | kHasSlidingQuantiles;
-    if ((present & ~known) != 0) {
-      return Status::Corruption(
-          "stream query checkpoint: unknown sketch presence bits");
-    }
-    // A group holds exactly the one sketch StateFor builds for this
-    // query's aggregate and window shape (SUM: none). Any other set is a
-    // forged or damaged image (the fingerprint above already matched), and
-    // would leave a later update or emission reading an absent sketch.
-    if (present != expected_present) {
+    // A group holds exactly the state StateFor builds for it. Anything
+    // else is a forged or damaged image (the fingerprint above already
+    // matched), and would leave a later update or emission reading the
+    // wrong sketch.
+    GroupState state = NewState(group);
+    if (present != PresenceBit(state.index())) {
       return Status::Corruption(
           "stream query checkpoint: group sketches do not match the query");
     }
-    if (present & kHasDistinct) {
-      if (Status s = RestoreSketch(&r, &state.distinct); !s.ok()) return s;
-    }
-    if (present & kHasSliding) {
-      if (Status s = RestoreSketch(&r, &state.sliding); !s.ok()) return s;
-    }
-    if (present & kHasSlidingTop) {
-      if (Status s = RestoreRing(&r, SpaceSaving(options_.top_k_capacity),
-                                 options_.slide, ring_panes,
-                                 &state.sliding_top);
-          !s.ok()) {
-        return s;
-      }
-    }
-    if (present & kHasSlidingQuantiles) {
-      if (Status s = RestoreRing(
-              &r, KllSketch(options_.kll_k, Hash64(group, seed_)),
-              options_.slide, ring_panes, &state.sliding_quantiles);
-          !s.ok()) {
-        return s;
-      }
-    }
-    if (present & kHasTop) {
-      if (Status s = RestoreSketch(&r, &state.top); !s.ok()) return s;
-    }
-    if (present & kHasQuantiles) {
-      if (Status s = RestoreSketch(&r, &state.quantiles); !s.ok()) return s;
-    }
-    // ... built with the query's parameters, as StateFor builds it.
-    const bool fits =
-        (!state.distinct.has_value() ||
-         (state.distinct->precision() == options_.hll_precision &&
-          state.distinct->seed() == seed_)) &&
-        (!state.sliding.has_value() ||
-         (state.sliding->precision() == options_.hll_precision &&
-          state.sliding->seed() == seed_ &&
-          state.sliding->pane_width() == options_.slide &&
-          state.sliding->num_panes() == ring_panes)) &&
-        (!state.top.has_value() ||
-         state.top->capacity() == options_.top_k_capacity) &&
-        (!state.quantiles.has_value() ||
-         state.quantiles->k() == options_.kll_k);
-    if (!fits) {
+    if (int64_t* total = std::get_if<int64_t>(&state)) {
+      *total = sum;
+    } else if (sum != 0) {
       return Status::Corruption(
-          "stream query checkpoint: sketch parameters do not match the query");
+          "stream query checkpoint: sum on a sketch aggregate");
+    }
+    if (Status s = std::visit(
+            [&r](auto& group_state) { return Get(r, group_state); }, state);
+        !s.ok()) {
+      return s;
     }
     groups[group] = std::move(state);
   }

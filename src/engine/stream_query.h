@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "cardinality/hyperloglog.h"
@@ -187,40 +187,44 @@ class StreamQuery {
 
   /// Processes a batch of events through the group-run core: each chunk is
   /// cut into GroupRuns at this query's window (or slide) boundaries, COUNT
-  /// DISTINCT items are hashed once per chunk, and the chunk goes through
-  /// ProcessBatchPrehashed. Window, ordering, and filter semantics are
+  /// DISTINCT items are hashed once per chunk, AddFilter predicates are
+  /// evaluated into an accept column, and the chunk goes through the
+  /// ProcessBatchPrehashed core. Window, ordering, and filter semantics are
   /// identical to calling Process() per event, and the resulting state is
   /// byte-identical. Stops at the first error, with every event before it
   /// applied.
   Status ProcessBatch(std::span<const StreamEvent> events);
 
-  /// Multi-core variant of ProcessBatch: events are partitioned by
-  /// group-key hash, so each pool worker owns a disjoint slice of the
-  /// GROUP-BY table and updates its groups' sketches with no locks. Window
-  /// advancement and filters stay sequential (they are ordered and cheap);
-  /// the sketch updates — the hot part of the Gigascope-style
-  /// many-sketches workload — run in parallel per window segment. Because
-  /// a group's events are all owned by one worker and applied in stream
-  /// order, the resulting state is byte-identical (SerializeState) to
-  /// calling Process() per event. Stops at the first error; events routed
-  /// before the error are applied.
+  /// Multi-core ProcessBatch: the same chunk loop and group-run core, with
+  /// each window segment's runs dealt to the pool's workers. A run is one
+  /// group's events in stream order, so every group is updated by one
+  /// worker and no two workers share state. Window advancement, group
+  /// creation, filter predicates and the live-distinct mirror stay on the
+  /// calling thread; workers only apply runs. Covers every aggregate and
+  /// window shape, sliding included. The resulting state is byte-identical
+  /// (SerializeState) to calling Process() per event. Stops at the first
+  /// error, with every event before it applied.
   Status ProcessBatchParallel(std::span<const StreamEvent> events,
                               ThreadPool& pool);
 
-  /// The batched ingest core, shared by ProcessBatch and MultiQueryEngine:
-  /// applies `events` run by run along `runs`, which must have been built
-  /// from `events` with this query's window size or slide among the
-  /// periods (checked: a mismatch aborts). Each segment advances the window once; each run looks its
-  /// group up once, and a sliding run opens its pane once, at the
-  /// timestamp of its last accepted event.
+  /// The batched ingest core, shared by ProcessBatch, ProcessBatchParallel
+  /// and MultiQueryEngine: applies `events` run by run along `runs`, which
+  /// must have been built from `events` with this query's window size or
+  /// slide among the periods (checked: a mismatch aborts). Each segment
+  /// advances the window once; each run looks its group up once, and a
+  /// sliding run opens its pane once, at the timestamp of its last
+  /// accepted event.
   ///
   ///  - `hashes`, when non-empty, parallels `events` with
   ///    hashes[i] == Hash64(events[i].item, seed); COUNT DISTINCT (sliding
-  ///    or not) feeds the words straight into the HLLs instead of
-  ///    re-hashing. Ignored (and may be empty) for other aggregates.
+  ///    or not) feeds the words straight into the HLLs, and hashes the
+  ///    items once itself when `hashes` is empty. Ignored for other
+  ///    aggregates.
   ///  - `accept`, when non-empty, parallels `events`; an event with
-  ///    accept[i] == 0 is dropped exactly as if a filter rejected it.
-  ///    Filters attached with AddFilter() still apply on top.
+  ///    accept[i] == 0 is dropped exactly as if a filter rejected it. It is
+  ///    the only filter the core applies: predicates attached with
+  ///    AddFilter() are not evaluated here (ProcessBatch folds them into
+  ///    `accept` first).
   ///
   /// Window, ordering, and error semantics are identical to calling
   /// Process() per event, and the resulting state is byte-identical
@@ -257,16 +261,20 @@ class StreamQuery {
   const Options& options() const { return options_; }
 
  private:
-  struct GroupState {
-    std::optional<HyperLogLog> distinct;
-    std::optional<SlidingHyperLogLog> sliding;  // Sliding kCountDistinct.
-    std::optional<PaneRing<SpaceSaving>> sliding_top;       // Sliding kTopK.
-    std::optional<PaneRing<KllSketch>> sliding_quantiles;   // Sliding kQuantiles.
-    std::optional<SpaceSaving> top;
-    std::optional<KllSketch> quantiles;
-    int64_t sum = 0;
-  };
+  /// One group's aggregate state: exactly the one thing the query's
+  /// aggregate and window shape need, as NewState() builds it. SUM keeps
+  /// an exact total; COUNT DISTINCT, TOP-K and QUANTILES keep an HLL,
+  /// SpaceSaving or KLL sketch, or for a sliding window a pane ring of
+  /// it. The alternative order fixes the checkpoint's presence bits.
+  using GroupState =
+      std::variant<int64_t, HyperLogLog, SpaceSaving, KllSketch,
+                   SlidingHyperLogLog, PaneRing<SpaceSaving>,
+                   PaneRing<KllSketch>>;
 
+  /// The empty state of `group`: the only code that maps (aggregate,
+  /// window shape) to a sketch. Group creation, checkpoint restore and
+  /// its parameter checks all start from it.
+  GroupState NewState(uint64_t group) const;
   GroupState& StateFor(uint64_t group);
   /// Validates ordering, initializes/advances the window, and updates
   /// last_timestamp_ for a span of in-order events with timestamps `first`
@@ -274,14 +282,28 @@ class StreamQuery {
   /// event (a single event passes first == last).
   Status AdvanceWindow(uint64_t first, uint64_t last);
   bool PassesFilters(const StreamEvent& event) const;
-  /// Applies one accepted event to its group's aggregate state (the
-  /// per-event reference path of Process()).
-  void ApplyEvent(const StreamEvent& event);
+  /// The chunk loop of ProcessBatch (`pool` null) and ProcessBatchParallel.
+  Status ProcessChunks(std::span<const StreamEvent> events, ThreadPool* pool);
+  /// The group-run core of ProcessBatchPrehashed; with a pool of more than
+  /// one thread, each segment's runs are applied on the pool.
+  Status ApplyRuns(std::span<const StreamEvent> events, const GroupRuns& runs,
+                   std::span<const uint64_t> hashes,
+                   std::span<const uint8_t> accept, ThreadPool* pool);
+  /// Applies the accepted events among order[begin, end) of `events`, one
+  /// group's run, to `state`; the event at order[end - 1] is accepted.
+  /// Touches nothing but `state`, so pool workers may run it concurrently
+  /// on distinct groups.
+  static void ApplyRun(GroupState& state, std::span<const StreamEvent> events,
+                       std::span<const uint32_t> order, uint32_t begin,
+                       uint32_t end, std::span<const uint64_t> hashes,
+                       std::span<const uint8_t> accept);
   void CloseWindow(uint64_t next_window_start);
   /// Sliding mode: emits the window ending at `boundary` (exclusive) over
   /// every group's pane ring, without clearing the group table.
   void EmitSlidingWindow(uint64_t boundary);
-  GroupAggregate Snapshot(uint64_t group, const GroupState& state) const;
+  /// Appends the result of [start, end) over every open group; sliding
+  /// groups are read as of `end`.
+  void EmitWindow(uint64_t start, uint64_t end);
   /// The open groups as (group id, state) pairs sorted by group id — the
   /// flat table iterates in hash order, so ordered emission (window
   /// snapshots, checkpoints) sorts here.

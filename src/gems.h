@@ -134,7 +134,9 @@
 
 // Distributed: merge trees, pipelines, concurrent wrappers.
 #include "distributed/aggregation.h"
-#include "distributed/concurrent.h"
+#include "distributed/concurrent/concurrent_any.h"
+#include "distributed/concurrent/concurrent_summary.h"
+#include "distributed/concurrent/epoch.h"
 #include "distributed/sharded_pipeline.h"
 
 // gemsd: keyed sketches over TCP (client, protocol, embeddable server).

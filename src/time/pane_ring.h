@@ -78,7 +78,7 @@ class PaneRing {
     // Live panes are ids in (pane_id - num_panes, pane_id]: the current
     // (partial) pane plus the num_panes - 1 full panes before it.
     bool expired = false;
-    while (!panes_.empty() && panes_.front().id + num_panes_ <= pane_id) {
+    while (!panes_.empty() && Expired(panes_.front().id, pane_id)) {
       panes_.pop_front();
       expired = true;
     }
@@ -169,7 +169,7 @@ class PaneRing {
     started_ = started_ || other.started_;
     if (started_) {
       const uint64_t pane_id = last_timestamp_ / pane_width_;
-      while (!panes_.empty() && panes_.front().id + num_panes_ <= pane_id) {
+      while (!panes_.empty() && Expired(panes_.front().id, pane_id)) {
         panes_.pop_front();
       }
     }
@@ -216,6 +216,12 @@ class PaneRing {
     S summary;
   };
 
+  /// Whether pane `id` lies outside the window whose current pane is
+  /// `pane_id`; written so ids near UINT64_MAX cannot wrap.
+  bool Expired(uint64_t id, uint64_t pane_id) const {
+    return id <= pane_id && pane_id - id >= num_panes_;
+  }
+
   static void MustMerge(S& into, const S& from) {
     // Panes are copies of one prototype, so parameter mismatches here are
     // programmer error, not runtime conditions.
@@ -242,11 +248,6 @@ class PaneRing {
   size_t num_panes_;
   std::deque<Pane> panes_;
 };
-
-/// The engine-era name; PaneRing is the same template promoted into the
-/// time family.
-template <typename S>
-using SlidingWindowSummary = PaneRing<S>;
 
 }  // namespace gems
 

@@ -14,7 +14,8 @@
 #include "core/estimate.h"
 #include "core/registry.h"
 #include "distributed/aggregation.h"
-#include "distributed/concurrent.h"
+#include "distributed/concurrent/concurrent_any.h"
+#include "distributed/concurrent/concurrent_summary.h"
 #include "distributed/sharded_pipeline.h"
 #include "distributed/spsc_ring.h"
 #include "distributed/thread_pool.h"

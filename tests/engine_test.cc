@@ -1,6 +1,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -8,11 +9,11 @@
 
 #include "cardinality/hyperloglog.h"
 #include "distributed/thread_pool.h"
-#include "engine/exponential_histogram.h"
-#include "engine/sliding_window.h"
 #include "engine/stream_query.h"
 #include "frequency/count_min.h"
 #include "hash/xxhash.h"
+#include "time/exponential_histogram.h"
+#include "time/pane_ring.h"
 #include "workload/baselines.h"
 #include "workload/generators.h"
 
@@ -459,6 +460,94 @@ TEST(StreamQueryTest, RestoreRejectsSketchesThatDoNotMatchTheQuery) {
             StatusCode::kCorruption);
 }
 
+TEST(StreamQueryTest, RestoreRejectsPaneRingClocksBehindTheirPanes) {
+  // Sliding TOP-K / QUANTILES image offsets (one group, 1-byte varints):
+  // the group's presence byte at 71, its ring clock at 72, the pane count
+  // at 80, the first pane at 81; the closed-window count sits just before
+  // the 8-byte trailer.
+  constexpr size_t kPresentAt = 71, kClockAt = 72, kCountAt = 80,
+                   kPanesAt = 81;
+  for (AggregateKind kind : {AggregateKind::kTopK, AggregateKind::kQuantiles}) {
+    StreamQuery::Options options;
+    options.aggregate = kind;
+    options.window_size = 12;
+    options.slide = 3;
+    options.top_k_capacity = 8;
+    options.top_k = 2;
+    StreamQuery query(options, 1);
+    ASSERT_TRUE(query.Process(Event(7, 4, 9)).ok());  // Pane 2.
+    const std::vector<uint8_t> image = query.SerializeState();
+    ASSERT_EQ(image[kPresentAt], kind == AggregateKind::kTopK ? 16 : 32);
+    ASSERT_EQ(image[kClockAt], 7);
+    ASSERT_EQ(image[kCountAt], 1);
+    ASSERT_EQ(image[image.size() - 9], 0);  // No closed windows.
+    StreamQuery target(options, 1);
+    ASSERT_TRUE(target.RestoreState(image).ok());
+
+    // A clock in pane 0, behind the newest pane: later events would land
+    // in pane 2 while the clock says pane 0.
+    std::vector<uint8_t> behind = image;
+    behind[kClockAt] = 1;
+    EXPECT_EQ(target.RestoreState(Reseal(behind)).code(),
+              StatusCode::kCorruption);
+
+    // A running clock over no panes at all.
+    std::vector<uint8_t> empty = image;
+    empty.erase(empty.begin() + kPanesAt, empty.end() - 9);
+    empty[kCountAt] = 0;
+    EXPECT_EQ(target.RestoreState(Reseal(empty)).code(),
+              StatusCode::kCorruption);
+  }
+}
+
+TEST(StreamQueryTest, RestoreRejectsASumOnASketchGroup) {
+  // One-group COUNT DISTINCT image: the group's i64 sum field at 63, its
+  // presence byte at 71. Only SUM groups carry a sum.
+  constexpr size_t kSumAt = 63, kPresentAt = 71;
+  StreamQuery::Options options;
+  options.aggregate = AggregateKind::kCountDistinct;
+  options.window_size = 10;
+  StreamQuery query(options, 1);
+  ASSERT_TRUE(query.Process(Event(1, 4, 9)).ok());
+  std::vector<uint8_t> image = query.SerializeState();
+  ASSERT_EQ(image[kPresentAt], 1);
+  ASSERT_EQ(image[kSumAt], 0);
+  image[kSumAt] = 5;
+  StreamQuery target(options, 1);
+  EXPECT_EQ(target.RestoreState(Reseal(image)).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(StreamQueryTest, RestoreRefusesVersionOneAndTwoImages) {
+  // With its unused knobs zero, a COUNT DISTINCT query fingerprints the
+  // same under the v1/v2 raw-knob rule as under v3's, so these are
+  // well-formed v1 and v2 images of the same state.
+  StreamQuery::Options options;
+  options.aggregate = AggregateKind::kCountDistinct;
+  options.window_size = 10;
+  options.top_k_capacity = 0;
+  options.top_k = 0;
+  options.kll_k = 0;
+  StreamQuery query(options, 1);
+  for (uint64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(query.Process(Event(i, i % 3, i)).ok());
+  }
+  constexpr size_t kVersionAt = 4, kSlideAt = 14;
+  std::vector<uint8_t> v2 = query.SerializeState();
+  ASSERT_EQ(v2[kVersionAt], 3);
+  v2[kVersionAt] = 2;
+  // Version 1 predates the slide field.
+  std::vector<uint8_t> v1 = v2;
+  v1[kVersionAt] = 1;
+  v1.erase(v1.begin() + kSlideAt, v1.begin() + kSlideAt + 8);
+  for (const std::vector<uint8_t>& image : {v1, v2}) {
+    StreamQuery target(options, 1);
+    const Status s = target.RestoreState(Reseal(image));
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    EXPECT_NE(s.message().find("unsupported version"), std::string::npos);
+  }
+}
+
 TEST(StreamQueryTest, BatchedCoreRejectsRunsBuiltForOtherEventsOrPeriods) {
   StreamQuery::Options options;
   options.aggregate = AggregateKind::kSum;
@@ -602,7 +691,7 @@ TEST(ExponentialHistogramTest, ErrorShrinksWithEpsilon) {
 TEST(SlidingWindowTest, ExpiresOldPanes) {
   // Window = 4 panes x 100 units. Items seen in pane 0 must be gone once
   // time passes 400 units later.
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(12, 1), 100, 4);
+  PaneRing<HyperLogLog> window(HyperLogLog(12, 1), 100, 4);
   for (uint64_t i = 0; i < 1000; ++i) {
     window.Update(/*timestamp=*/50, i);  // All in pane 0.
   }
@@ -616,7 +705,7 @@ TEST(SlidingWindowTest, ExpiresOldPanes) {
 }
 
 TEST(SlidingWindowTest, GradualSlideTracksRecentDistincts) {
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(12, 2), 10, 10);
+  PaneRing<HyperLogLog> window(HyperLogLog(12, 2), 10, 10);
   // 100 time units of window; emit 10 fresh items per unit.
   uint64_t next_item = 0;
   for (uint64_t t = 0; t < 500; ++t) {
@@ -631,8 +720,7 @@ TEST(SlidingWindowTest, GradualSlideTracksRecentDistincts) {
 }
 
 TEST(SlidingWindowTest, WorksWithCountMin) {
-  SlidingWindowSummary<CountMinSketch> window(CountMinSketch(256, 4, 3), 10,
-                                              5);
+  PaneRing<CountMinSketch> window(CountMinSketch(256, 4, 3), 10, 5);
   // Heavy item appears only in the first pane.
   for (int i = 0; i < 100; ++i) window.Update(0, /*item=*/7, /*weight=*/1);
   EXPECT_GE(window.WindowSummary().Estimate(7), 100u);
@@ -642,7 +730,7 @@ TEST(SlidingWindowTest, WorksWithCountMin) {
 }
 
 TEST(SlidingWindowTest, PaneCountStaysBounded) {
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(8, 4), 1, 8);
+  PaneRing<HyperLogLog> window(HyperLogLog(8, 4), 1, 8);
   for (uint64_t t = 0; t < 10000; t += 3) {
     window.Update(t, t);
     EXPECT_LE(window.NumLivePanes(), 8u);

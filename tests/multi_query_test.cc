@@ -381,11 +381,13 @@ std::vector<StreamEvent> GroupRunEvents(Rng& rng, uint64_t* clock, size_t n) {
   return events;
 }
 
-/// Both group-run paths — one engine query, and one independent StreamQuery
-/// fed through ProcessBatch — per (shape, filter set), next to the
-/// reference: an independent StreamQuery fed per event through Process().
+/// The three group-run paths — one engine query, one independent
+/// StreamQuery fed through ProcessBatch, and one fed through
+/// ProcessBatchParallel on a 3-thread pool — per (shape, filter set), next
+/// to the reference: an independent StreamQuery fed per event through
+/// Process().
 struct RunHarness {
-  explicit RunHarness(uint64_t seed) : engine(seed) {
+  explicit RunHarness(uint64_t seed) : engine(seed), pool(3) {
     const auto filters = GroupRunFilters();
     for (const auto& filter : filters) engine.RegisterFilter(filter);
     for (const StreamQuery::Options& options : GroupRunShapes()) {
@@ -393,16 +395,19 @@ struct RunHarness {
         std::vector<MultiQueryEngine::FilterId> ids;
         StreamQuery reference(options, seed);
         StreamQuery solo(options, seed);
+        StreamQuery dealt(options, seed);
         for (size_t f = 0; f < filters.size(); ++f) {
           if ((mask >> f) & 1) {
             ids.push_back(f);
             reference.AddFilter(filters[f]);
             solo.AddFilter(filters[f]);
+            dealt.AddFilter(filters[f]);
           }
         }
         engine.AddQuery(options, ids);
         references.push_back(std::move(reference));
         batched.push_back(std::move(solo));
+        parallel.push_back(std::move(dealt));
       }
     }
   }
@@ -419,6 +424,9 @@ struct RunHarness {
       }
       EXPECT_EQ(batched[q].ProcessBatch(events).ToString(), want.ToString())
           << "query " << q;
+      EXPECT_EQ(parallel[q].ProcessBatchParallel(events, pool).ToString(),
+                want.ToString())
+          << "query " << q;
       if (first.ok()) first = want;
     }
     EXPECT_EQ(got.ToString(), first.ToString());
@@ -430,6 +438,7 @@ struct RunHarness {
     for (size_t q = 0; q < references.size(); ++q) {
       const std::vector<uint8_t> windows = WindowBytes(references[q].Flush());
       ASSERT_EQ(WindowBytes(batched[q].Flush()), windows) << "query " << q;
+      ASSERT_EQ(WindowBytes(parallel[q].Flush()), windows) << "query " << q;
       ASSERT_EQ(WindowBytes(engine.Poll(q)), windows) << "query " << q;
     }
     ExpectSame();
@@ -440,9 +449,11 @@ struct RunHarness {
       const std::vector<uint8_t> want = references[q].SerializeState();
       ASSERT_EQ(engine.SerializeQueryState(q), want) << "query " << q;
       ASSERT_EQ(batched[q].SerializeState(), want) << "query " << q;
+      ASSERT_EQ(parallel[q].SerializeState(), want) << "query " << q;
       const std::vector<uint8_t> windows = WindowBytes(references[q].Poll());
       ASSERT_EQ(WindowBytes(engine.Poll(q)), windows) << "query " << q;
       ASSERT_EQ(WindowBytes(batched[q].Poll()), windows) << "query " << q;
+      ASSERT_EQ(WindowBytes(parallel[q].Poll()), windows) << "query " << q;
     }
   }
 
@@ -455,12 +466,16 @@ struct RunHarness {
                       .ok());
       ASSERT_TRUE(
           batched[q].RestoreState(from.batched[q].SerializeState()).ok());
+      ASSERT_TRUE(
+          parallel[q].RestoreState(from.parallel[q].SerializeState()).ok());
     }
   }
 
   MultiQueryEngine engine;
+  ThreadPool pool;
   std::vector<StreamQuery> references;
   std::vector<StreamQuery> batched;
+  std::vector<StreamQuery> parallel;
 };
 
 TEST(MultiQueryGroupRunTest, ChunksStraddlingBoundariesMatchPerEvent) {
@@ -521,6 +536,7 @@ TEST(MultiQueryGroupRunTest, CheckpointMidStreamThenContinue) {
   (void)h.engine.Poll(0);
   (void)h.references[0].Poll();
   (void)h.batched[0].Poll();
+  (void)h.parallel[0].Poll();
 
   RunHarness restored(34);
   restored.RestoreFrom(h);

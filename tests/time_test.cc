@@ -67,6 +67,21 @@ TEST(PaneRingTest, PaneWidthOne) {
   EXPECT_NEAR(ring.WindowSummary().Estimate(), 5.0, 1.0);
 }
 
+TEST(PaneRingTest, PaneIdsAtTheTopOfTheRangeDoNotWrap) {
+  // With pane width 1, timestamps near UINT64_MAX are pane ids near it;
+  // expiry must not wrap around and drop the current pane.
+  PaneRing<HyperLogLog> ring(HyperLogLog(12, 1), 1, 2);
+  ring.Advance(UINT64_MAX - 1);
+  ASSERT_EQ(ring.NumLivePanes(), 1u);
+  ring.Advance(UINT64_MAX);
+  ASSERT_EQ(ring.NumLivePanes(), 2u);
+  ring.Update(UINT64_MAX, 7);
+  EXPECT_NEAR(ring.WindowSummary().Estimate(), 1.0, 0.5);
+  PaneRing<HyperLogLog> merged(HyperLogLog(12, 1), 1, 2);
+  ASSERT_TRUE(merged.Merge(ring).ok());
+  EXPECT_EQ(merged.NumLivePanes(), 2u);
+}
+
 TEST(PaneRingTest, SinglePaneWindowIsTumbling) {
   PaneRing<HyperLogLog> ring(HyperLogLog(12, 1), 100, 1);
   for (uint64_t i = 0; i < 50; ++i) ring.Update(10, i);

@@ -79,67 +79,42 @@ void CountSketch::Update(uint64_t item, int64_t weight) {
 }
 
 void CountSketch::UpdateBatch(std::span<const uint64_t> items) {
-  // Chunked rows-outer kernel. Per chunk: reduce every key into the
-  // Carter-Wegman field once (per-item Update pays that division twice per
-  // row — bucket and sign), then each row evaluates its two polynomials
-  // inline over the reduced keys, with the bucket modulo strength-reduced
-  // through a hoisted InvariantMod. Counter additions commute, so the
-  // result is byte-identical to sequential Update().
-  const simd::SimdKernels& kernels = simd::Kernels();
-  if (layout_ == SketchLayout::kBlocked) {
-    // One fused kernel pass: hash once per item, prefetch the single block,
-    // signed-update all depth_ rows inside it (nullptr weights = unit).
-    kernels.cs_blocked_add(counters_.data(), num_blocks_, depth_, cols_,
-                           seed_, items.data(), nullptr, items.size());
-    return;
-  }
-  const bool prefetch =
-      PrefetchEnabled() &&
-      static_cast<size_t>(width_) * sizeof(int64_t) >= kPrefetchMinRowBytes;
-  const InvariantMod mod(width_);
-  uint64_t reduced[256];
-  uint32_t buckets[256];
-  int64_t signed_weights[256];
-  while (!items.empty()) {
-    const size_t n = std::min(items.size(), std::size(reduced));
-    for (size_t i = 0; i < n; ++i) reduced[i] = KWiseHash::ReduceKey(items[i]);
-    for (uint32_t row = 0; row < depth_; ++row) {
-      const KWiseHash& bucket_hash = bucket_hashes_[row];
-      const KWiseHash& sign_hash = sign_hashes_[row];
-      int64_t* const row_ptr =
-          counters_.data() + static_cast<size_t>(row) * width_;
-      // Split the row pass: the polynomial evaluations fill plain arrays
-      // (no loop-carried state, so the compiler pipelines the Horner
-      // chains), then the scatter kernel streams the signed additions.
-      for (size_t i = 0; i < n; ++i) {
-        buckets[i] =
-            static_cast<uint32_t>(mod(bucket_hash.EvalReduced(reduced[i])));
-        signed_weights[i] = (sign_hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-      }
-      if (prefetch) {
-        // The buckets are already materialized, so the two-phase touch is
-        // free of extra hashing: issue the target lines, then scatter.
-        for (size_t i = 0; i < n; ++i) PrefetchForWrite(row_ptr + buckets[i]);
-      }
-      kernels.cs_row_scatter(row_ptr, buckets, signed_weights, n);
-    }
-    items = items.subspan(n);
-  }
+  UpdateBatchImpl(items, nullptr);
 }
 
 void CountSketch::UpdateBatch(std::span<const uint64_t> items,
                               std::span<const int64_t> weights) {
   GEMS_CHECK(items.size() == weights.size());
+  UpdateBatchImpl(items, weights.data());
+}
+
+void CountSketch::UpdateBatchImpl(std::span<const uint64_t> items,
+                                  const int64_t* weights) {
+  const simd::SimdKernels& kernels = simd::Kernels();
   if (layout_ == SketchLayout::kBlocked) {
-    simd::Kernels().cs_blocked_add(counters_.data(), num_blocks_, depth_,
-                                   cols_, seed_, items.data(), weights.data(),
-                                   items.size());
+    // One fused kernel pass: hash once per item, prefetch the single block,
+    // signed-update all depth_ rows inside it (nullptr weights = unit).
+    kernels.cs_blocked_add(counters_.data(), num_blocks_, depth_, cols_,
+                           seed_, items.data(), weights, items.size());
     return;
   }
+  // kFlat: chunked rows-outer kernel. Per chunk: reduce every key into the
+  // Carter-Wegman field once (per-item Update pays that division twice per
+  // row — bucket and sign), then each row evaluates its two polynomials
+  // through the mod61_poly_eval kernel (exact, so the same words as
+  // EvalReduced), strength-reduces the bucket modulo through a hoisted
+  // InvariantMod and streams the signed additions through cs_row_scatter.
+  // Counter additions commute (and wrap, like Update's), so the result is
+  // byte-identical to sequential Update().
+  const bool prefetch =
+      PrefetchEnabled() &&
+      static_cast<size_t>(width_) * sizeof(int64_t) >= kPrefetchMinRowBytes;
   const InvariantMod mod(width_);
   uint64_t reduced[256];
-  size_t offset = 0;
-  while (offset < items.size()) {
+  uint64_t evals[256];
+  uint32_t buckets[256];
+  int64_t signed_weights[256];
+  for (size_t offset = 0; offset < items.size(); offset += std::size(reduced)) {
     const size_t n = std::min(items.size() - offset, std::size(reduced));
     for (size_t i = 0; i < n; ++i) {
       reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
@@ -147,16 +122,28 @@ void CountSketch::UpdateBatch(std::span<const uint64_t> items,
     for (uint32_t row = 0; row < depth_; ++row) {
       const KWiseHash& bucket_hash = bucket_hashes_[row];
       const KWiseHash& sign_hash = sign_hashes_[row];
-      int64_t* const counters =
-          counters_.data() + static_cast<size_t>(row) * width_;
+      kernels.mod61_poly_eval(reduced, n, bucket_hash.coefficients(),
+                              bucket_hash.k(), evals);
       for (size_t i = 0; i < n; ++i) {
-        const int64_t sign =
-            (sign_hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-        counters[mod(bucket_hash.EvalReduced(reduced[i]))] +=
-            sign * weights[offset + i];
+        buckets[i] = static_cast<uint32_t>(mod(evals[i]));
       }
+      kernels.mod61_poly_eval(reduced, n, sign_hash.coefficients(),
+                              sign_hash.k(), evals);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t w =
+            weights == nullptr ? 1 : static_cast<uint64_t>(weights[offset + i]);
+        signed_weights[i] =
+            static_cast<int64_t>(KWiseHash::ApplySign(evals[i], w));
+      }
+      int64_t* const row_ptr =
+          counters_.data() + static_cast<size_t>(row) * width_;
+      if (prefetch) {
+        // The buckets are already materialized, so the two-phase touch is
+        // free of extra hashing: issue the target lines, then scatter.
+        for (size_t i = 0; i < n; ++i) PrefetchForWrite(row_ptr + buckets[i]);
+      }
+      kernels.cs_row_scatter(row_ptr, buckets, signed_weights, n);
     }
-    offset += n;
   }
 }
 

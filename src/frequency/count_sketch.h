@@ -94,6 +94,8 @@ class CountSketch {
  private:
   uint64_t Bucket(uint32_t row, uint64_t item) const;
   int Sign(uint32_t row, uint64_t item) const;
+  /// Both UpdateBatch overloads; `weights == nullptr` means unit weight.
+  void UpdateBatchImpl(std::span<const uint64_t> items, const int64_t* weights);
 
   uint32_t width_;
   uint32_t depth_;

@@ -1,5 +1,7 @@
 #include "hash/polynomial.h"
 
+#include <utility>
+
 #include "common/check.h"
 
 namespace gems {
@@ -13,6 +15,12 @@ KWiseHash::KWiseHash(int k, uint64_t seed) {
   }
   // Force the leading coefficient non-zero so the polynomial has full degree.
   if (k > 1 && coefficients_.back() == 0) coefficients_.back() = 1;
+}
+
+KWiseHash::KWiseHash(std::vector<uint64_t> coefficients)
+    : coefficients_(std::move(coefficients)) {
+  GEMS_CHECK(!coefficients_.empty());
+  for (uint64_t c : coefficients_) GEMS_CHECK(c < kPrime);
 }
 
 uint64_t KWiseHash::Eval(uint64_t key) const {

@@ -32,46 +32,44 @@ void AmsSketch::Update(uint64_t item, int64_t weight) {
 }
 
 void AmsSketch::UpdateBatch(std::span<const uint64_t> items) {
-  // Estimator-outer: per-item Update reduces the key into the field once
-  // per estimator (inside Eval); hoisting ReduceKey out of the estimator
-  // loop pays that division once per item. Each estimator's Rademacher sum
-  // accumulates in a register across the chunk before a single counter
-  // add. Eval(key) == EvalReduced(ReduceKey(key)) exactly and integer
-  // addition commutes, so counters are byte-identical to per-item ingest.
-  std::array<uint64_t, 256> reduced;
-  for (size_t offset = 0; offset < items.size(); offset += 256) {
-    const size_t n = std::min<size_t>(256, items.size() - offset);
-    for (size_t i = 0; i < n; ++i) {
-      reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
-    }
-    for (size_t e = 0; e < counters_.size(); ++e) {
-      const KWiseHash& hash = sign_hashes_[e];
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        sum += (hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-      }
-      counters_[e] += sum;
-    }
-  }
+  UpdateBatchImpl(items, nullptr);
 }
 
 void AmsSketch::UpdateBatch(std::span<const uint64_t> items,
                             std::span<const int64_t> weights) {
   GEMS_CHECK(items.size() == weights.size());
+  UpdateBatchImpl(items, weights.data());
+}
+
+void AmsSketch::UpdateBatchImpl(std::span<const uint64_t> items,
+                                const int64_t* weights) {
+  // Estimator-outer: per-item Update reduces the key into the field once
+  // per estimator (inside Eval); hoisting ReduceKey out of the estimator
+  // loop pays that division once per item, and each estimator's polynomial
+  // runs over the chunk in one mod61_poly_eval call. Each estimator's
+  // Rademacher sum accumulates in a register across the chunk before a
+  // single counter add. The kernel is exact (Eval(key) ==
+  // EvalReduced(ReduceKey(key)), word for word) and integer addition
+  // commutes, so counters are byte-identical to per-item ingest.
+  const simd::SimdKernels& kernels = simd::Kernels();
   std::array<uint64_t, 256> reduced;
-  for (size_t offset = 0; offset < items.size(); offset += 256) {
-    const size_t n = std::min<size_t>(256, items.size() - offset);
+  std::array<uint64_t, 256> evals;
+  for (size_t offset = 0; offset < items.size(); offset += reduced.size()) {
+    const size_t n = std::min(reduced.size(), items.size() - offset);
     for (size_t i = 0; i < n; ++i) {
       reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
     }
     for (size_t e = 0; e < counters_.size(); ++e) {
       const KWiseHash& hash = sign_hashes_[e];
-      int64_t sum = 0;
+      kernels.mod61_poly_eval(reduced.data(), n, hash.coefficients(),
+                              hash.k(), evals.data());
+      uint64_t sum = 0;  // Wrapping, like the counters' two's complement.
       for (size_t i = 0; i < n; ++i) {
-        const int64_t w = weights[offset + i];
-        sum += (hash.EvalReduced(reduced[i]) & 1) ? w : -w;
+        const uint64_t w =
+            weights == nullptr ? 1 : static_cast<uint64_t>(weights[offset + i]);
+        sum += KWiseHash::ApplySign(evals[i], w);
       }
-      counters_[e] += sum;
+      counters_[e] += static_cast<int64_t>(sum);
     }
   }
 }

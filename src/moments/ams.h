@@ -66,6 +66,10 @@ class AmsSketch {
   static Result<AmsSketch> Deserialize(std::span<const uint8_t> bytes);
 
  private:
+  /// Both UpdateBatch overloads; `weights == nullptr` means unit weight.
+  void UpdateBatchImpl(std::span<const uint64_t> items,
+                       const int64_t* weights);
+
   uint32_t s1_;
   uint32_t s2_;
   uint64_t seed_;

@@ -13,6 +13,24 @@ namespace gems {
 namespace {
 
 constexpr double kCapacityRatio = 2.0 / 3.0;
+// Depths [0, 64]; a deeper level (no stream of fewer than 2^64 items
+// builds one) falls back to the same std::pow call.
+constexpr int kTabulatedDepths = 65;
+
+// std::pow(kCapacityRatio, depth) for every tabulated depth, built once per
+// process by the very expression each compaction used to evaluate per
+// level, so every capacity (and so every byte) is unchanged and no sketch
+// carries extra state.
+const std::array<double, kTabulatedDepths>& CapacityRatioPowers() {
+  static const std::array<double, kTabulatedDepths> powers = [] {
+    std::array<double, kTabulatedDepths> out;
+    for (int depth = 0; depth < kTabulatedDepths; ++depth) {
+      out[depth] = std::pow(kCapacityRatio, depth);
+    }
+    return out;
+  }();
+  return powers;
+}
 
 }  // namespace
 
@@ -22,13 +40,19 @@ KllSketch::KllSketch(uint32_t k, uint64_t seed) : k_(k), rng_(seed) {
   level0_capacity_ = CapacityAt(0);
 }
 
-size_t KllSketch::CapacityAt(int level) const {
+size_t KllSketch::CapacityForDepth(uint32_t k, int depth) {
   // Top level gets capacity k; each level below decays by 2/3, floored at
   // 8 (the DataSketches floor: tiny bottom buffers compact too often for
   // negligible space savings).
-  const int depth = static_cast<int>(compactors_.size()) - 1 - level;
-  const double cap = static_cast<double>(k_) * std::pow(kCapacityRatio, depth);
+  const double ratio = depth < kTabulatedDepths
+                           ? CapacityRatioPowers()[depth]
+                           : std::pow(kCapacityRatio, depth);
+  const double cap = static_cast<double>(k) * ratio;
   return std::max<size_t>(8, static_cast<size_t>(std::ceil(cap)));
+}
+
+size_t KllSketch::CapacityAt(int level) const {
+  return CapacityForDepth(k_, static_cast<int>(compactors_.size()) - 1 - level);
 }
 
 Result<KllSketch> KllSketch::ForRankError(double rank_error, uint64_t seed) {
@@ -147,6 +171,12 @@ std::vector<double> KllSketch::Cdf(
 }
 
 Status KllSketch::Merge(const KllSketch& other) {
+  // Refuse a wrapping total before any level moves (a hostile image can
+  // carry any count).
+  uint64_t merged_count = 0;
+  if (__builtin_add_overflow(count_, other.count_, &merged_count)) {
+    return Status::OutOfRange("KLL merge overflows the item count");
+  }
   while (compactors_.size() < other.compactors_.size()) {
     compactors_.emplace_back();
   }
@@ -155,7 +185,7 @@ Status KllSketch::Merge(const KllSketch& other) {
                               other.compactors_[level].begin(),
                               other.compactors_[level].end());
   }
-  count_ += other.count_;
+  count_ = merged_count;
   CompressIfNeeded();
   return Status::Ok();
 }

@@ -85,6 +85,11 @@ class KllSketch {
   void SerializeTo(ByteSink& sink) const;
   static Result<KllSketch> Deserialize(std::span<const uint8_t> bytes);
 
+  /// Capacity of the compactor `depth` levels below the top of a sketch
+  /// with parameter k: max(8, ceil(k * (2/3)^depth)), the power read from a
+  /// process-wide table (depth >= 0).
+  static size_t CapacityForDepth(uint32_t k, int depth);
+
  private:
   /// Capacity of the compactor at `level` given the current top level.
   size_t CapacityAt(int level) const;

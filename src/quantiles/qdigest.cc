@@ -113,10 +113,24 @@ Status QDigest::Merge(const QDigest& other) {
     return Status::InvalidArgument(
         "QDigest merge requires equal universe and compression");
   }
+  // A hostile image can carry any count; check every sum before anything
+  // moves, so a refused merge leaves this digest as it was.
+  uint64_t merged_count = 0;
+  bool overflow = __builtin_add_overflow(count_, other.count_, &merged_count);
+  for (const auto& [id, node_count] : other.nodes_) {
+    if (overflow) break;
+    const auto mine = nodes_.find(id);
+    uint64_t sum;
+    overflow = mine != nodes_.end() &&
+               __builtin_add_overflow(mine->second, node_count, &sum);
+  }
+  if (overflow) {
+    return Status::OutOfRange("QDigest merge overflows a node count or total");
+  }
   for (const auto& [id, node_count] : other.nodes_) {
     nodes_[id] += node_count;
   }
-  count_ += other.count_;
+  count_ = merged_count;
   Compress();
   return Status::Ok();
 }

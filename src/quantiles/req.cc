@@ -116,6 +116,10 @@ Status ReqSketch::Merge(const ReqSketch& other) {
     return Status::InvalidArgument(
         "REQ merge requires equal k and accuracy mode");
   }
+  uint64_t merged_count = 0;
+  if (__builtin_add_overflow(count_, other.count_, &merged_count)) {
+    return Status::OutOfRange("REQ merge overflows the item count");
+  }
   while (compactors_.size() < other.compactors_.size()) {
     compactors_.emplace_back();
   }
@@ -128,7 +132,7 @@ Status ReqSketch::Merge(const ReqSketch& other) {
     // older lineage's accuracy budget.
     mine.num_sections = std::max(mine.num_sections, theirs.num_sections);
   }
-  count_ += other.count_;
+  count_ = merged_count;
   CompressIfNeeded();
   return Status::Ok();
 }

@@ -81,6 +81,10 @@ class ReqSketch {
   uint64_t count_ = 0;
   Rng rng_;
   std::vector<Compactor> compactors_;  // compactors_[h]: weight 2^h.
+
+  // REQ has no wire image, so the merge-overflow test forges a count
+  // through this peer instead.
+  friend struct ReqSketchTestPeer;
 };
 
 }  // namespace gems

@@ -21,6 +21,29 @@ inline double Pow2Neg(uint8_t reg) {
   return std::bit_cast<double>(static_cast<uint64_t>(1023 - reg) << 52);
 }
 
+// Carter-Wegman arithmetic over the Mersenne prime p = 2^61 - 1, the
+// scalar form of mod61_poly_eval (and of KWiseHash::EvalReduced).
+inline constexpr uint64_t kMersenne61 = (uint64_t{1} << 61) - 1;
+
+// (a * b + c) mod p for a, b, c < p: 2^61 ≡ 1 folds the 122-bit product
+// into low + high < 2p, one conditional subtraction makes it canonical,
+// and the addend takes one more.
+inline uint64_t MulAddMod61(uint64_t a, uint64_t b, uint64_t c) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  uint64_t s = (static_cast<uint64_t>(product) & kMersenne61) +
+               static_cast<uint64_t>(product >> 61);
+  if (s >= kMersenne61) s -= kMersenne61;
+  s += c;
+  if (s >= kMersenne61) s -= kMersenne61;
+  return s;
+}
+
+inline uint64_t Mod61Horner(uint64_t x, const uint64_t* coeffs, int k) {
+  uint64_t acc = coeffs[k - 1];
+  for (int j = k - 1; j-- > 0;) acc = MulAddMod61(acc, x, coeffs[j]);
+  return acc;
+}
+
 // Blocked Bloom probe schedule (matches BlockedBloomFilter::InsertProbes):
 // consecutive 9-bit slices of the 64-bit probe word; after the sixth slice
 // the word is refilled with Mix64(probe_bits). Blocks are 8 x 64-bit words

@@ -104,6 +104,16 @@ struct SimdKernels {
   /// (CountSketch/AMS F2 row evaluation feeding the median).
   double (*i64_sum_squares)(const int64_t* values, size_t n);
 
+  /// Carter-Wegman polynomial hash over the Mersenne field p = 2^61 - 1:
+  /// out[i] = (Σ_j coeffs[j] * x[i]^j) mod p by Horner's rule, coefficients
+  /// low degree first — KWiseHash::EvalReduced over a batch of reduced
+  /// keys. Requires k >= 1, x[i] < p and coeffs[j] < p. Every variant
+  /// returns the canonical residue in [0, p), so the output is exact.
+  /// Count Sketch (bucket and sign rows) and AMS (sign estimators) feed
+  /// all their batch polynomials through it.
+  void (*mod61_poly_eval)(const uint64_t* x, size_t n, const uint64_t* coeffs,
+                          int k, uint64_t* out);
+
   /// Cache-line-blocked Count-Min batch update, fused hash + block-select +
   /// prefetch + probe (the kBlocked layout): one Murmur3_128_U64 per key,
   /// block = h.low % num_blocks, then all `depth` row counters live in the

@@ -208,6 +208,55 @@ void Murmur3BatchU64(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+/// Four lanes of (a * b + c) mod p, p = 2^61 - 1, for a, b, c < p, with b
+/// given as its 32-bit limbs. The same four-product fold as the AVX-512
+/// MulAddMod61V8 (see there for the bounds); it ends at s <= p + 4 < 2^62,
+/// where the signed compare is exact, so a blend stands in for the missing
+/// unsigned min.
+inline __m256i MulAddMod61V4(__m256i a, __m256i b_lo, __m256i b_hi,
+                             __m256i c) {
+  const __m256i p = Splat64(internal::kMersenne61);
+  const __m256i a_hi = _mm256_srli_epi64(a, 32);
+  const __m256i ll = _mm256_mul_epu32(a, b_lo);
+  const __m256i mid =
+      _mm256_add_epi64(_mm256_mul_epu32(a, b_hi), _mm256_mul_epu32(a_hi, b_lo));
+  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);
+  __m256i s = _mm256_add_epi64(_mm256_slli_epi64(hh, 3),
+                               _mm256_srli_epi64(mid, 29));
+  s = _mm256_add_epi64(
+      s, _mm256_slli_epi64(_mm256_and_si256(mid, Splat64((1u << 29) - 1)), 32));
+  s = _mm256_add_epi64(s, _mm256_srli_epi64(ll, 61));
+  s = _mm256_add_epi64(s, _mm256_and_si256(ll, p));
+  s = _mm256_add_epi64(s, c);
+  s = _mm256_add_epi64(_mm256_and_si256(s, p), _mm256_srli_epi64(s, 61));
+  return _mm256_blendv_epi8(_mm256_sub_epi64(s, p), s,
+                            _mm256_cmpgt_epi64(p, s));
+}
+
+void Mod61PolyEval(const uint64_t* x, size_t n, const uint64_t* coeffs, int k,
+                   uint64_t* out) {
+  size_t i = 0;
+  // Two independent four-key chains per step keep the multiplier busy.
+  for (; i + 8 <= n; i += 8) {
+    const __m256i xa =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    const __m256i xb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i + 4));
+    const __m256i xa_hi = _mm256_srli_epi64(xa, 32);
+    const __m256i xb_hi = _mm256_srli_epi64(xb, 32);
+    __m256i a = Splat64(coeffs[k - 1]);
+    __m256i b = a;
+    for (int j = k - 1; j-- > 0;) {
+      const __m256i c = Splat64(coeffs[j]);
+      a = MulAddMod61V4(a, xa, xa_hi, c);
+      b = MulAddMod61V4(b, xb, xb_hi, c);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), a);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4), b);
+  }
+  for (; i < n; ++i) out[i] = internal::Mod61Horner(x[i], coeffs, k);
+}
+
 // ------------------------------------------------------------ cardinality
 
 void HllIngest(uint8_t* regs, int precision, const uint64_t* keys, size_t n,
@@ -714,6 +763,7 @@ const SimdKernels* Avx2Kernels() {
     t.mix64_batch = &Mix64Batch;
     t.mix64_min = &Mix64Min;
     t.murmur3_batch_u64 = &Murmur3BatchU64;
+    t.mod61_poly_eval = &Mod61PolyEval;
     t.hll_ingest = &HllIngest;
     t.u8_max = &U8Max;
     t.hll_harmonic_sum = &HllHarmonicSum;

@@ -190,6 +190,58 @@ void Murmur3BatchU64(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+/// Eight lanes of (a * b + c) mod p, p = 2^61 - 1, for a, b, c < p, with b
+/// given as its 32-bit limbs (b_hi < 2^29). Four vpmuludq products form
+///   a * b = hh * 2^64 + (lh + hl) * 2^32 + ll,
+/// and each term folds with 2^64 ≡ 8 and 2^61 ≡ 1 (mod p): 8 * hh < 2^61;
+/// mid = lh + hl < 2^62 splits at bit 29 into mid >> 29 (times 2^61 ≡ 1)
+/// and its low 29 bits shifted up by 32 (< 2^61); ll splits at bit 61. With
+/// c the six terms sum below 2^63 + 2^34, one more fold leaves s <= p + 4,
+/// and min(s, s - p) (s - p wraps huge when s < p) is the canonical residue
+/// — the same field element as the scalar MulAddMod61, so the same word.
+inline __m512i MulAddMod61V8(__m512i a, __m512i b_lo, __m512i b_hi,
+                             __m512i c) {
+  const __m512i p = Splat8x64(internal::kMersenne61);
+  const __m512i a_hi = _mm512_srli_epi64(a, 32);
+  const __m512i ll = _mm512_mul_epu32(a, b_lo);
+  const __m512i mid =
+      _mm512_add_epi64(_mm512_mul_epu32(a, b_hi), _mm512_mul_epu32(a_hi, b_lo));
+  const __m512i hh = _mm512_mul_epu32(a_hi, b_hi);
+  __m512i s = _mm512_add_epi64(_mm512_slli_epi64(hh, 3),
+                               _mm512_srli_epi64(mid, 29));
+  s = _mm512_add_epi64(
+      s, _mm512_slli_epi64(_mm512_and_si512(mid, Splat8x64((1u << 29) - 1)),
+                           32));
+  s = _mm512_add_epi64(s, _mm512_srli_epi64(ll, 61));
+  s = _mm512_add_epi64(s, _mm512_and_si512(ll, p));
+  s = _mm512_add_epi64(s, c);
+  s = _mm512_add_epi64(_mm512_and_si512(s, p), _mm512_srli_epi64(s, 61));
+  return _mm512_min_epu64(s, _mm512_sub_epi64(s, p));
+}
+
+/// Eight keys' Horner chains; the key is the fixed multiplicand, so its
+/// limbs are split once per chain.
+inline __m512i Mod61HornerV8(__m512i x, const uint64_t* coeffs, int k) {
+  const __m512i x_hi = _mm512_srli_epi64(x, 32);
+  __m512i acc = Splat8x64(coeffs[k - 1]);
+  for (int j = k - 1; j-- > 0;) {
+    acc = MulAddMod61V8(acc, x, x_hi, Splat8x64(coeffs[j]));
+  }
+  return acc;
+}
+
+void Mod61PolyEval(const uint64_t* x, size_t n, const uint64_t* coeffs, int k,
+                   uint64_t* out) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i a = Mod61HornerV8(_mm512_loadu_si512(x + i), coeffs, k);
+    const __m512i b = Mod61HornerV8(_mm512_loadu_si512(x + i + 8), coeffs, k);
+    _mm512_storeu_si512(out + i, a);
+    _mm512_storeu_si512(out + i + 8, b);
+  }
+  for (; i < n; ++i) out[i] = internal::Mod61Horner(x[i], coeffs, k);
+}
+
 // ------------------------------------------------------------ cardinality
 
 /// (index << 8) | rho for eight hashes. vplzcntq makes rho branch-free in
@@ -565,6 +617,7 @@ const SimdKernels* Avx512Kernels() {
     t.mix64_batch = &Mix64Batch;
     t.mix64_min = &Mix64Min;
     t.murmur3_batch_u64 = &Murmur3BatchU64;
+    t.mod61_poly_eval = &Mod61PolyEval;
     t.hll_ingest = &HllIngest;
     t.hll_update_hashes = &HllUpdateHashes;
     t.u8_max = &U8Max;

@@ -46,6 +46,13 @@ void Murmur3BatchU64(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+void Mod61PolyEval(const uint64_t* x, size_t n, const uint64_t* coeffs, int k,
+                   uint64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = internal::Mod61Horner(x[i], coeffs, k);
+  }
+}
+
 // ------------------------------------------------------------ cardinality
 
 void HllUpdateHashes(uint8_t* regs, int precision, const uint64_t* hashes,
@@ -361,6 +368,7 @@ const SimdKernels& ScalarKernels() {
       .cm_row_min = &CmRowMin,
       .cs_row_scatter = &CsRowScatter,
       .i64_sum_squares = &I64SumSquares,
+      .mod61_poly_eval = &Mod61PolyEval,
       .cm_blocked_add = &CmBlockedAdd,
       .cm_blocked_add_weighted = &CmBlockedAddWeighted,
       .cm_blocked_min = &CmBlockedMin,

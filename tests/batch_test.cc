@@ -19,12 +19,14 @@
 #include "frequency/count_sketch.h"
 #include "frequency/misra_gries.h"
 #include "frequency/space_saving.h"
+#include "hash/polynomial.h"
 #include "membership/blocked_bloom.h"
 #include "membership/bloom.h"
 #include "moments/ams.h"
 #include "quantiles/kll.h"
 #include "sampling/reservoir.h"
 #include "similarity/minhash.h"
+#include "simd/dispatch.h"
 #include "workload/generators.h"
 
 namespace gems {
@@ -147,6 +149,47 @@ TEST(BatchEquivalence, CountSketch) {
   FeedRagged<uint64_t>(items, [&](auto s) { batched.UpdateBatch(s); });
   for (uint64_t item : items) sequential.Update(item);
   EXPECT_EQ(batched.Serialize(), sequential.Serialize());
+}
+
+TEST(BatchEquivalence, CountSketchFlatUnderEachTable) {
+  // The flat batch path runs every bucket and sign polynomial through the
+  // mod61_poly_eval kernel. Under the active table and under the scalar
+  // reference, in one process, unit and weighted ingest must both match
+  // per-item Update byte for byte — including keys at and past the field's
+  // prime and weights far from +/-1.
+  std::vector<uint64_t> items = ZipfItems(6000, 31);
+  constexpr uint64_t kP = KWiseHash::kPrime;
+  for (uint64_t edge : {uint64_t{0}, uint64_t{1}, kP - 1, kP, kP + 1,
+                        ~uint64_t{0}}) {
+    items.push_back(edge);
+  }
+  std::vector<int64_t> weights;
+  for (size_t i = 0; i < items.size(); ++i) {
+    weights.push_back(i % 1000 == 0 ? (int64_t{1} << 40)
+                                    : static_cast<int64_t>(i % 11) - 5);
+  }
+  CountSketch unit_ref(2048, 5, /*seed=*/29);
+  CountSketch weighted_ref(2048, 5, /*seed=*/29);
+  for (size_t i = 0; i < items.size(); ++i) {
+    unit_ref.Update(items[i]);
+    weighted_ref.Update(items[i], weights[i]);
+  }
+  for (bool force_scalar : {false, true}) {
+    simd::ForceScalarForTesting(force_scalar);
+    SCOPED_TRACE(simd::ActiveLevel());
+    CountSketch unit(2048, 5, /*seed=*/29);
+    CountSketch weighted(2048, 5, /*seed=*/29);
+    size_t offset = 0;
+    FeedRagged<uint64_t>(items, [&](std::span<const uint64_t> s) {
+      unit.UpdateBatch(s);
+      weighted.UpdateBatch(
+          s, std::span<const int64_t>(weights).subspan(offset, s.size()));
+      offset += s.size();
+    });
+    simd::ForceScalarForTesting(false);
+    EXPECT_EQ(unit.Serialize(), unit_ref.Serialize());
+    EXPECT_EQ(weighted.Serialize(), weighted_ref.Serialize());
+  }
 }
 
 TEST(BatchEquivalence, CountSketchNegativeWeights) {

@@ -1,11 +1,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/status.h"
 #include "core/summary.h"
+#include "core/view.h"
 #include "core/wire.h"
 #include "quantiles/gk.h"
 #include "quantiles/kll.h"
@@ -18,6 +22,11 @@
 #include "workload/metrics.h"
 
 namespace gems {
+
+struct ReqSketchTestPeer {
+  static void SetCount(ReqSketch& req, uint64_t count) { req.count_ = count; }
+};
+
 namespace {
 
 static_assert(ValueSummary<KllSketch> && MergeableSummary<KllSketch>);
@@ -195,6 +204,45 @@ TEST(KllTest, SerializeRoundTrip) {
   }
 }
 
+TEST(KllTest, TabulatedCapacityMatchesPow) {
+  // The process-wide table must reproduce the per-call std::pow expression
+  // it replaced exactly, or compaction schedules (and bytes) would move.
+  for (uint32_t k : {8u, 200u, 256u, 312u, 65535u}) {
+    for (int depth = 0; depth <= 64; ++depth) {
+      const double cap = static_cast<double>(k) * std::pow(2.0 / 3.0, depth);
+      EXPECT_EQ(KllSketch::CapacityForDepth(k, depth),
+                std::max<size_t>(8, static_cast<size_t>(std::ceil(cap))))
+          << "k=" << k << " depth=" << depth;
+    }
+  }
+}
+
+TEST(KllTest, MergeOverflowIsRefused) {
+  // A hostile image may claim any count. A merge whose total would wrap is
+  // refused with kOutOfRange before any level moves, through Merge and
+  // MergeFromView alike.
+  ByteWriter w;
+  w.PutU32(200);                                           // k.
+  w.PutU64(std::numeric_limits<uint64_t>::max() / 2 + 1);  // Count.
+  w.PutVarint(2);                                          // Levels.
+  w.PutVarint(1);
+  w.PutDouble(1.5);
+  w.PutVarint(1);
+  w.PutDouble(2.5);
+  const std::vector<uint8_t> image =
+      WrapEnvelope(SketchTypeId::kKll, std::move(w).TakeBytes());
+  Result<KllSketch> acc = KllSketch::Deserialize(image);
+  ASSERT_TRUE(acc.ok());
+  const KllSketch peer = acc.value();
+  EXPECT_EQ(acc.value().Merge(peer).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(acc.value().Serialize(), image);
+  Result<View<KllSketch>> view = View<KllSketch>::Wrap(image);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(acc.value().MergeFromView(view.value()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(acc.value().Serialize(), image);
+}
+
 // ---------------------------------------------------------------- QDigest
 
 TEST(QDigestTest, RankErrorBounded) {
@@ -256,6 +304,30 @@ TEST(QDigestTest, SerializeRoundTrip) {
   EXPECT_EQ(r.value().Count(), qd.Count());
   for (double q : {0.1, 0.5, 0.9}) {
     EXPECT_EQ(r.value().Quantile(q), qd.Quantile(q));
+  }
+}
+
+TEST(QDigestTest, MergeOverflowIsRefused) {
+  // Hostile images: one whose total doubles past 2^64, one whose total is
+  // small but whose shared node count wraps. Both merges are refused with
+  // kOutOfRange and leave the accumulator's bytes as they were.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const auto& [count, node_count] :
+       {std::pair{kMax / 2 + 1, kMax / 2 + 1}, std::pair{uint64_t{0}, kMax}}) {
+    ByteWriter w;
+    w.PutU8(10);           // Universe bits.
+    w.PutU64(64);          // Compression.
+    w.PutU64(count);
+    w.PutVarint(1);        // Nodes.
+    w.PutVarint(1 << 10);  // The leaf of value 0.
+    w.PutVarint(node_count);
+    const std::vector<uint8_t> image =
+        WrapEnvelope(SketchTypeId::kQDigest, std::move(w).TakeBytes());
+    Result<QDigest> acc = QDigest::Deserialize(image);
+    ASSERT_TRUE(acc.ok());
+    const QDigest peer = acc.value();
+    EXPECT_EQ(acc.value().Merge(peer).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(acc.value().Serialize(), image);
   }
 }
 
@@ -523,6 +595,24 @@ TEST(ReqTest, MergeRejectsKMismatch) {
   EXPECT_FALSE(a.Merge(b).ok());
   ReqSketch hra(16, 0, true), lra(16, 0, false);
   EXPECT_FALSE(hra.Merge(lra).ok());
+}
+
+TEST(ReqTest, MergeOverflowIsRefused) {
+  // The REQ twin of the hostile-image merge tests: a count no stream could
+  // reach, forged through the test peer since REQ has no wire image. The
+  // wrapping merge is refused with kOutOfRange and moves nothing.
+  ReqSketch req(16, 3);
+  for (int i = 0; i < 100; ++i) req.Update(i);
+  ReqSketchTestPeer::SetCount(req,
+                              std::numeric_limits<uint64_t>::max() / 2 + 1);
+  const ReqSketch peer = req;
+  const size_t retained = req.NumRetained();
+  const int levels = req.NumLevels();
+  EXPECT_EQ(req.Merge(peer).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(req.Count(), peer.Count());
+  EXPECT_EQ(req.NumRetained(), retained);
+  EXPECT_EQ(req.NumLevels(), levels);
+  EXPECT_EQ(req.Rank(50), peer.Rank(50));
 }
 
 TEST(ReqTest, LowRankAccuracyProtectsLowQuantiles) {

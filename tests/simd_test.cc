@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "hash/polynomial.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 
@@ -251,6 +252,46 @@ TEST_P(SimdParity, CsRowScatter) {
 // Blocked-layout geometries to sweep: (depth, cols) pairs covering every
 // legal fill of the 8-slot block, with both pow2 and non-pow2 block counts
 // so the modulo path is exercised.
+TEST_P(SimdParity, Mod61PolyEval) {
+  // Differential against KWiseHash::EvalReduced, the per-item Horner loop
+  // the batch callers replaced. Keys and coefficients hit the field's edges
+  // — 0, 1 and p - 1, the largest limbs and the fold boundary — as well as
+  // random residues; the key pattern has period 5, coprime to every lane
+  // width, so each lane and the tail see every edge.
+  const SimdKernels& active = *GetParam();
+  constexpr uint64_t kP = KWiseHash::kPrime;
+  constexpr size_t kLengths[] = {0, 1, 7, 8, 9, 255, 256, 1000};
+  Rng rng(61);
+  for (int k : {1, 2, 4}) {
+    std::vector<std::vector<uint64_t>> coefficient_sets = {
+        std::vector<uint64_t>(k, 0), std::vector<uint64_t>(k, kP - 1)};
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      std::vector<uint64_t> coeffs(k);
+      for (int j = 0; j < k; ++j) {
+        coeffs[j] = pattern < 2 ? ((j + pattern) % 2 == 0 ? kP - 1 : 0)
+                                : rng.NextU64() % kP;
+      }
+      coefficient_sets.push_back(coeffs);
+    }
+    for (const std::vector<uint64_t>& coeffs : coefficient_sets) {
+      const KWiseHash hash(coeffs);
+      for (size_t n : kLengths) {
+        std::vector<uint64_t> keys(n);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t edges[] = {0, 1, kP - 1};
+          keys[i] = i % 5 < 3 ? edges[i % 5] : rng.NextU64() % kP;
+        }
+        std::vector<uint64_t> want(n), got(n);
+        for (size_t i = 0; i < n; ++i) want[i] = hash.EvalReduced(keys[i]);
+        active.mod61_poly_eval(keys.data(), n, hash.coefficients(), k,
+                               got.data());
+        EXPECT_EQ(want, got) << "k=" << k << " n=" << n
+                             << " c0=" << coeffs[0];
+      }
+    }
+  }
+}
+
 struct BlockedGeometry {
   uint32_t depth;
   uint32_t cols;

@@ -30,12 +30,26 @@ gems::CountMinSketch& CmAccumulator() {
   return cm;
 }
 
-// Above 128 slots SpaceSaving keeps a slot index that every merge drops
-// and the next update rebuilds; the update after each merge makes hostile
-// entries reach that rebuild.
+// Above 128 slots SpaceSaving keeps a slot index (hash table plus min-count
+// run) that every merge drops. After each merge, capacity + 1 distinct
+// items force at least one eviction, so restored hostile-but-valid
+// counts reach the table rebuild and also the run rebuild and pop.
+constexpr size_t kSsCapacity = 1024;
+
 gems::SpaceSaving& SsAccumulator() {
-  static gems::SpaceSaving ss(1024);
+  static gems::SpaceSaving ss(kSsCapacity);
   return ss;
+}
+
+void SsEvict() {
+  // Without an eviction every one of capacity + 1 distinct items would end
+  // up tracked, which cannot fit.
+  static uint64_t next_item = 0;
+  gems::SpaceSaving& ss = SsAccumulator();
+  if (ss.TotalWeight() > INT64_MAX - static_cast<int64_t>(kSsCapacity + 1)) {
+    return;
+  }
+  for (size_t i = 0; i <= kSsCapacity; ++i) ss.Update(next_item++);
 }
 
 }  // namespace
@@ -79,9 +93,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     auto ss_view =
         gems::View<gems::SpaceSaving>::FromSketchView(v->value());
-    if (ss_view.ok() && SsAccumulator().MergeFromView(ss_view.value()).ok() &&
-        SsAccumulator().TotalWeight() < INT64_MAX) {
-      SsAccumulator().Update(size);
+    if (ss_view.ok() && SsAccumulator().MergeFromView(ss_view.value()).ok()) {
+      SsEvict();
     }
   }
   return 0;

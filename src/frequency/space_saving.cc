@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <utility>
 
 #include "common/check.h"
 #include "core/params.h"
@@ -19,9 +20,8 @@ SpaceSaving::SpaceSaving(const SpaceSaving& other)
     : capacity_(other.capacity_),
       total_(other.total_),
       slots_(other.slots_),
-      index_(other.index_
-                 ? std::make_unique<std::vector<uint32_t>>(*other.index_)
-                 : nullptr) {}
+      index_(other.index_ ? std::make_unique<Index>(*other.index_) : nullptr) {
+}
 
 SpaceSaving& SpaceSaving::operator=(const SpaceSaving& other) {
   if (this != &other) *this = SpaceSaving(other);
@@ -46,13 +46,13 @@ size_t SpaceSaving::FindSlot(uint64_t item) const {
 
 size_t SpaceSaving::LookupSlot(uint64_t item) const {
   if (!index_) return FindSlot(item);
-  const uint32_t id = (*index_)[TableProbe(item)];
+  const uint32_t id = index_->words[TableProbe(item)];
   return id == kNoSlot ? slots_.size() : id;
 }
 
 void SpaceSaving::Update(uint64_t item, int64_t weight) {
   GEMS_CHECK(weight >= 1);
-  total_ += weight;
+  GEMS_CHECK(!__builtin_add_overflow(total_, weight, &total_));
   if (capacity_ > kIndexMinCapacity) {
     IndexedUpdate(item, weight);
     return;
@@ -92,15 +92,14 @@ void SpaceSaving::Update(uint64_t item, int64_t weight) {
 }
 
 // The same three cases as the scan above, with the table finding the slot
-// and the heap root naming the victim. Slot contents and positions come out
-// exactly as the scan leaves them.
+// and the min-count run naming the victim. Slot contents and positions come
+// out exactly as the scan leaves them.
 void SpaceSaving::IndexedUpdate(uint64_t item, int64_t weight) {
   if (!index_) Reindex();
   const size_t cell = TableProbe(item);
   const uint32_t found = Table()[cell];
   if (found != kNoSlot) {
-    slots_[found].count += weight;
-    SiftDown(HeapPos()[found]);
+    slots_[found].count += weight;  // Its run entry, if any, goes stale.
     return;
   }
   if (slots_.size() < capacity_) {
@@ -109,19 +108,19 @@ void SpaceSaving::IndexedUpdate(uint64_t item, int64_t weight) {
       Reindex();  // Grow the index; it covers the new slot.
       return;
     }
-    const auto id = static_cast<uint32_t>(slots_.size() - 1);
-    Table()[cell] = id;
-    Heap()[id] = id;
-    HeapPos()[id] = id;
-    SiftUp(id);
+    Table()[cell] = static_cast<uint32_t>(slots_.size() - 1);
     return;
   }
-  const uint32_t weakest = Heap()[0];
-  TableErase(TableProbe(slots_[weakest].item));
+  // The newcomer takes the empty cell its probe ended on before the
+  // victim's cell is erased, so its chain is walked once. The slot already
+  // holds the newcomer when TableErase re-homes entries, so an entry it
+  // moves is judged by the newcomer's item, which is the one it indexes.
+  const uint32_t weakest = PopVictim();
+  const size_t victim_cell = TableProbe(slots_[weakest].item);
   const int64_t min_count = slots_[weakest].count;
   slots_[weakest] = Slot{item, min_count + weight, min_count};
-  Table()[TableProbe(item)] = weakest;
-  SiftDown(0);
+  Table()[cell] = weakest;
+  TableErase(victim_cell);
 }
 
 void SpaceSaving::Reindex() {
@@ -130,17 +129,65 @@ void SpaceSaving::Reindex() {
   // a huge nominal capacity costs nothing until its slots exist.
   const size_t index_slots = std::bit_ceil(
       std::min(capacity_, std::max<size_t>(2 * kIndexMinCapacity, n + 1)));
-  if (!index_) index_ = std::make_unique<std::vector<uint32_t>>();
-  index_->assign(4 * index_slots, kNoSlot);
+  if (!index_) index_ = std::make_unique<Index>();
+  index_->words.assign(4 * index_slots, kNoSlot);
+  index_->run_next = index_->run_end = 0;
   uint32_t* table = Table();
-  uint32_t* heap = Heap();
-  uint32_t* pos = HeapPos();
-  for (uint32_t id = 0; id < n; ++id) {
-    table[TableProbe(slots_[id].item)] = id;
-    heap[id] = id;
-    pos[id] = id;
+  for (uint32_t id = 0; id < n; ++id) table[TableProbe(slots_[id].item)] = id;
+}
+
+// A run entry whose count has left run_count was hit, or evicted and
+// refilled at run_count + w; counts only grow, so it never comes back.
+uint32_t SpaceSaving::PopVictim() {
+  Index& index = *index_;
+  for (;;) {
+    const uint32_t* run = Run();
+    while (index.run_next < index.run_end) {
+      const uint32_t id = run[index.run_next++];
+      if (slots_[id].count == index.run_count) return id;
+    }
+    BuildRun();  // Never empty: the summary is full.
   }
-  for (size_t p = n / 2; p-- > 0;) SiftDown(p);
+}
+
+// LSD radix sort of the ids by item, 8-bit digits, skipping every digit all
+// the items share: linear, whatever the items are. Ties cannot occur, since
+// tracked items are distinct.
+void SpaceSaving::BuildRun() {
+  Index& index = *index_;
+  uint32_t* run = Run();
+  uint32_t* scratch = Scratch();
+  int64_t min_count = slots_[0].count;
+  uint32_t n = 0;
+  for (uint32_t id = 0; id < slots_.size(); ++id) {
+    const int64_t count = slots_[id].count;
+    if (count > min_count) continue;
+    if (count < min_count) {
+      min_count = count;
+      n = 0;
+    }
+    run[n++] = id;
+  }
+  const uint64_t first = slots_[run[0]].item;
+  uint64_t differ = 0;
+  for (uint32_t i = 1; i < n; ++i) differ |= slots_[run[i]].item ^ first;
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((differ >> shift) & 0xff) == 0) continue;
+    std::array<uint32_t, 256> offset{};
+    for (uint32_t i = 0; i < n; ++i) {
+      ++offset[(slots_[run[i]].item >> shift) & 0xff];
+    }
+    uint32_t sum = 0;
+    for (uint32_t& o : offset) sum += std::exchange(o, sum);
+    for (uint32_t i = 0; i < n; ++i) {
+      scratch[offset[(slots_[run[i]].item >> shift) & 0xff]++] = run[i];
+    }
+    std::swap(run, scratch);
+  }
+  if (run != Run()) std::copy_n(run, n, Run());
+  index.run_count = min_count;
+  index.run_next = 0;
+  index.run_end = n;
 }
 
 size_t SpaceSaving::TableHome(uint64_t item) const {
@@ -150,7 +197,7 @@ size_t SpaceSaving::TableHome(uint64_t item) const {
 size_t SpaceSaving::TableProbe(uint64_t item) const {
   const size_t mask = 2 * IndexSlots() - 1;
   size_t cell = TableHome(item);
-  const std::vector<uint32_t>& table = *index_;
+  const std::vector<uint32_t>& table = index_->words;
   while (table[cell] != kNoSlot && slots_[table[cell]].item != item) {
     cell = (cell + 1) & mask;
   }
@@ -175,46 +222,6 @@ void SpaceSaving::TableErase(size_t cell) {
   table[hole] = kNoSlot;
 }
 
-bool SpaceSaving::SlotLess(uint32_t a, uint32_t b) const {
-  if (slots_[a].count != slots_[b].count) {
-    return slots_[a].count < slots_[b].count;
-  }
-  return slots_[a].item < slots_[b].item;
-}
-
-void SpaceSaving::SiftUp(size_t pos) {
-  uint32_t* heap = Heap();
-  uint32_t* heap_pos = HeapPos();
-  const uint32_t id = heap[pos];
-  while (pos > 0) {
-    const size_t parent = (pos - 1) / 2;
-    if (!SlotLess(id, heap[parent])) break;
-    heap[pos] = heap[parent];
-    heap_pos[heap[pos]] = static_cast<uint32_t>(pos);
-    pos = parent;
-  }
-  heap[pos] = id;
-  heap_pos[id] = static_cast<uint32_t>(pos);
-}
-
-void SpaceSaving::SiftDown(size_t pos) {
-  uint32_t* heap = Heap();
-  uint32_t* heap_pos = HeapPos();
-  const size_t n = slots_.size();
-  const uint32_t id = heap[pos];
-  for (;;) {
-    size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && SlotLess(heap[child + 1], heap[child])) ++child;
-    if (!SlotLess(heap[child], id)) break;
-    heap[pos] = heap[child];
-    heap_pos[heap[pos]] = static_cast<uint32_t>(pos);
-    pos = child;
-  }
-  heap[pos] = id;
-  heap_pos[id] = static_cast<uint32_t>(pos);
-}
-
 void SpaceSaving::UpdateBatch(std::span<const uint64_t> items) {
   size_t i = 0;
   while (i < items.size()) {
@@ -233,8 +240,13 @@ void SpaceSaving::UpdateBatch(std::span<const uint64_t> items,
   while (i < items.size()) {
     const uint64_t item = items[i];
     int64_t weight = weights[i];
+    GEMS_CHECK(weight >= 1);
     size_t j = i + 1;
-    while (j < items.size() && items[j] == item) weight += weights[j++];
+    for (; j < items.size() && items[j] == item; ++j) {
+      // Each weight and the run's sum are checked as Update checks them.
+      GEMS_CHECK(weights[j] >= 1);
+      GEMS_CHECK(!__builtin_add_overflow(weight, weights[j], &weight));
+    }
     Update(item, weight);
     i = j;
   }
@@ -275,11 +287,21 @@ bool SpaceSaving::IsGuaranteedExact(uint64_t item) const {
 
 int64_t SpaceSaving::MinCount() const {
   if (slots_.size() < capacity_ || slots_.empty()) return 0;
-  // With an index built, the heap root holds the minimum.
-  if (index_) return slots_[(*index_)[2 * IndexSlots()]].count;
+  // A live run entry holds the minimum (see PopVictim).
+  if (index_) {
+    const uint32_t* run = index_->words.data() + 2 * IndexSlots();
+    for (uint32_t i = index_->run_next; i < index_->run_end; ++i) {
+      if (slots_[run[i]].count == index_->run_count) return index_->run_count;
+    }
+  }
   int64_t min_count = slots_[0].count;
   for (const Slot& slot : slots_) min_count = std::min(min_count, slot.count);
   return min_count;
+}
+
+size_t SpaceSaving::IndexBytes() const {
+  if (!index_) return 0;
+  return sizeof(Index) + index_->words.capacity() * sizeof(uint32_t);
 }
 
 std::vector<uint64_t> SpaceSaving::HeavyHitterCandidates(double phi) const {

@@ -40,18 +40,32 @@ namespace gems {
 ///   (gemsbench stream_multiquery, 4-vCPU x86).
 /// - capacity > 128: an index built on first Update — an open-addressing
 ///   hash table item -> slot (linear probing, backward-shift deletion,
-///   load <= 1/2) and a min-heap of slots ordered by (count, item). A
-///   lookup is O(1) expected and an eviction O(log k). At the registry's
-///   1,024 slots on a Zipf(1.1) stream the scans cost ~1.5 us per item
-///   and the index ~0.12 us (gemsbench sketch_ingest, same host).
+///   load <= 1/2) and a min-count run: the ids of every slot whose count
+///   equals the current minimum m, sorted by item, with a cursor. A lookup
+///   is O(1) expected. A hit only adds to the count and leaves the run
+///   alone. A miss pops run entries from the cursor, skips any whose count
+///   is no longer m, and evicts the first one still at m. When the run is
+///   used up, one pass over the slots collects the new minimum's slots and
+///   an LSD radix sort orders them by item. Under SpaceSaving's own churn
+///   the minimum level is wide (each eviction refills a slot at m + w, the
+///   next level up), so that O(k) rebuild is shared by many evictions; a
+///   stream of weights that leaves one slot per level pays it per miss. At
+///   the registry's 1,024 slots on a Zipf(1.1) stream the scans cost
+///   ~1.5 us per item and the index ~0.06 us (gemsbench sketch_ingest,
+///   4-vCPU x86).
 ///
-/// The heap's order is the eviction rule itself (minimum count, then
-/// smallest item; tracked items are distinct, so the victim is unique),
-/// which is why both regimes pick the same victim and produce
-/// byte-identical state. The index is one lazily allocated block behind a
-/// single pointer, so a summary that never needs it (the ~10^5 small ones,
-/// a merge target, a restored checkpoint) pays 8 bytes for it. Merge and
-/// Deserialize drop the index; the next Update rebuilds it in O(k).
+/// The run is exact, not a heuristic. Counts only grow while the index
+/// lives, and a newcomer starts at m + w with w >= 1, so while any run
+/// entry is live the live entries are exactly the slots at the minimum
+/// count, still in item order: the first one is the scan's victim
+/// (minimum count, then smallest item; tracked items are distinct, so the
+/// victim is unique). Both regimes therefore pick the same victim, and
+/// slots are overwritten in place and appended in the same order, so they
+/// produce byte-identical state. The index is one lazily allocated block
+/// behind a single pointer, so a summary that never needs it (the ~10^5
+/// small ones, a merge target, a restored checkpoint) pays 8 bytes for it.
+/// Merge and Deserialize drop the index; the next Update rebuilds it in
+/// O(k), and the next eviction rebuilds the run.
 ///
 /// Merge folds the peer's slots into this side's through a throwaway
 /// open-addressing table (item -> slot), so it never sorts by item. This
@@ -77,11 +91,12 @@ class SpaceSaving {
   SpaceSaving(SpaceSaving&&) = default;
   SpaceSaving& operator=(SpaceSaving&&) = default;
 
-  /// Adds `weight` (>= 1) occurrences of `item`. On eviction, ties on the
-  /// minimum count break toward the smallest item id — a content-determined
-  /// rule, so two summaries holding the same logical state evolve
-  /// identically regardless of the order their slots were populated in
-  /// (e.g. one restored from a checkpoint, one that kept running).
+  /// Adds `weight` (>= 1) occurrences of `item`; a total weight past
+  /// INT64_MAX aborts. On eviction, ties on the minimum count break toward
+  /// the smallest item id — a content-determined rule, so two summaries
+  /// holding the same logical state evolve identically regardless of the
+  /// order their slots were populated in (e.g. one restored from a
+  /// checkpoint, one that kept running).
   void Update(uint64_t item, int64_t weight = 1);
 
   /// Batched ingest: coalesces runs of equal adjacent items into one
@@ -92,7 +107,8 @@ class SpaceSaving {
   void UpdateBatch(std::span<const uint64_t> items);
 
   /// Weighted batched ingest; `weights` must parallel `items` and every
-  /// weight must be >= 1. Runs of equal adjacent items are coalesced.
+  /// weight must be >= 1. Runs of equal adjacent items are coalesced. A
+  /// bad weight or an overflowing total aborts, as item by item.
   void UpdateBatch(std::span<const uint64_t> items,
                    std::span<const int64_t> weights);
 
@@ -145,6 +161,9 @@ class SpaceSaving {
   size_t capacity() const { return capacity_; }
   size_t NumTracked() const { return slots_.size(); }
   int64_t MinCount() const;
+  /// Heap bytes of the slot index (capacity > 128 only; 0 until the first
+  /// Update builds it, and again after Merge or Deserialize).
+  size_t IndexBytes() const;
 
   std::vector<uint8_t> Serialize() const;
   /// Appends the wire envelope into a caller-owned buffer; byte-identical
@@ -175,37 +194,46 @@ class SpaceSaving {
   /// FindSlot answered by the index when one is built.
   size_t LookupSlot(uint64_t item) const;
 
-  /// Capacities above this use the hash + heap index (see class comment).
+  /// Capacities above this use the hash + min-count run index (see class
+  /// comment).
   static constexpr size_t kIndexMinCapacity = 128;
 
   /// Update() for capacity_ > kIndexMinCapacity; total_ already counted.
   void IndexedUpdate(uint64_t item, int64_t weight);
 
-  /// (Re)builds index_ from slots_, sized for at least one more slot.
+  /// (Re)builds the table from slots_, sized for at least one more slot,
+  /// and empties the run.
   void Reindex();
 
-  // index_ layout, for an index sized for `n` slots (n a power of two):
-  // [0, 2n) hash table of slot ids (kNoSlot = empty), [2n, 3n) heap of
-  // slot ids, [3n, 4n) heap position of each slot id. Null when no index
-  // is built; otherwise consistent with slots_.
+  /// The index. `words`, for an index sized for `n` slots (n a power of
+  /// two): [0, 2n) hash table of slot ids (kNoSlot = empty), [2n, 3n) the
+  /// min-count run, [3n, 4n) radix-sort scratch. The table matches slots_
+  /// whenever index_ is set; run entries may be stale (see PopVictim).
+  struct Index {
+    std::vector<uint32_t> words;
+    int64_t run_count = 0;  // The minimum count the run was built at.
+    uint32_t run_next = 0;  // Cursor: the first entry not yet popped.
+    uint32_t run_end = 0;   // Entries in the run; used up at run_next.
+  };
   static constexpr uint32_t kNoSlot = UINT32_MAX;
-  size_t IndexSlots() const { return index_->size() / 4; }
-  uint32_t* Table() { return index_->data(); }
-  uint32_t* Heap() { return index_->data() + 2 * IndexSlots(); }
-  uint32_t* HeapPos() { return index_->data() + 3 * IndexSlots(); }
+  size_t IndexSlots() const { return index_->words.size() / 4; }
+  uint32_t* Table() { return index_->words.data(); }
+  uint32_t* Run() { return index_->words.data() + 2 * IndexSlots(); }
+  uint32_t* Scratch() { return index_->words.data() + 3 * IndexSlots(); }
   size_t TableHome(uint64_t item) const;
   /// Table position holding `item`, or of the empty cell ending its probe.
   size_t TableProbe(uint64_t item) const;
   void TableErase(size_t cell);
-  /// (count, item) order of two slots: the eviction order.
-  bool SlotLess(uint32_t a, uint32_t b) const;
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
+  /// The eviction victim (minimum count, then smallest item), popped from
+  /// the run; rebuilds the run when it is used up. Needs a full summary.
+  uint32_t PopVictim();
+  /// Fills the run with the ids of the minimum-count slots, by item.
+  void BuildRun();
 
   size_t capacity_;
   int64_t total_ = 0;
   std::vector<Slot> slots_;
-  std::unique_ptr<std::vector<uint32_t>> index_;
+  std::unique_ptr<Index> index_;
 };
 
 }  // namespace gems

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -872,6 +873,7 @@ class ScanSpaceSaving {
     const size_t i = Find(item);
     return i < slots_.size() && slots_[i].error == 0;
   }
+  bool Tracks(uint64_t item) const { return Find(item) < slots_.size(); }
   std::vector<uint64_t> HeavyHitterCandidates(double phi) const {
     const double threshold = phi * static_cast<double>(total_);
     std::vector<uint64_t> out;
@@ -1096,6 +1098,180 @@ TEST(SpaceSavingTest, MergeShapesMatchLinearScanReference) {
   for (size_t capacity : {1, 2, 64, 128, 129, 1024}) {
     RunMergeShapes(capacity);
     if (HasFatalFailure()) return;
+  }
+}
+
+// The min-count run above 128 slots: the eviction order must stay the
+// scan's through stale run entries, weighted misses, copies taken part way
+// through a level, and merge and restore.
+
+// Distinct items over all eight bytes: 0, UINT64_MAX, high-bit-set values
+// and full-width random ones, which differ in every radix digit, and small
+// ones, whose shared high bytes a run of only them skips.
+std::vector<uint64_t> WideItems(Rng& rng, size_t n) {
+  std::vector<uint64_t> items = {0,
+                                 UINT64_MAX,
+                                 UINT64_MAX - 1,
+                                 uint64_t{1} << 63,
+                                 (uint64_t{1} << 63) | 1,
+                                 0xff00000000000000ull,
+                                 0x00ff000000000000ull};
+  while (items.size() < n) {
+    switch (items.size() % 3) {
+      case 0:
+        items.push_back(rng.NextU64());
+        break;
+      case 1:
+        items.push_back(rng.NextU64() | (uint64_t{1} << 63));
+        break;
+      default:
+        items.push_back(rng.NextBounded(uint64_t{1} << 16));
+    }
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  for (size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.NextBounded(i)]);
+  }
+  return items;
+}
+
+void RunMinCountRun(size_t capacity) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+  Rng rng(capacity + 17);
+  const std::vector<uint64_t> pool = WideItems(rng, 3 * capacity);
+  const uint64_t universe = pool.size();
+  // Every summary in `got` sees the same updates as `want`.
+  std::vector<SpaceSaving> got;
+  got.emplace_back(capacity);
+  ScanSpaceSaving want(capacity);
+  const auto update = [&](uint64_t item, int64_t weight) {
+    for (SpaceSaving& ss : got) ss.Update(item, weight);
+    want.Update(item, weight);
+  };
+  const auto expect_same = [&] {
+    for (const SpaceSaving& ss : got) {
+      ExpectSameSummary(ss, want, universe, rng);
+      ASSERT_EQ(ss.Serialize(), got[0].Serialize());
+    }
+  };
+  const auto skewed = [&] {
+    const double u = rng.NextDouble();
+    return pool[static_cast<size_t>(u * u * static_cast<double>(universe))];
+  };
+  // Rounds of: a hit on a slot still at the minimum (its run entry goes
+  // stale before it is popped; hitting a level's last live entry leaves the
+  // run all stale), then a weighted miss, then a skewed item.
+  const auto churn = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const int64_t min_count = got[0].MinCount();
+      ASSERT_EQ(min_count, want.MinCount());
+      const std::vector<SpaceSaving::Entry> entries = got[0].Entries();
+      size_t first_min = entries.size();
+      while (first_min > 0 && entries[first_min - 1].count == min_count) {
+        --first_min;
+      }
+      const size_t pick =
+          first_min + rng.NextBounded(entries.size() - first_min);
+      update(entries[pick].item, 1 + static_cast<int64_t>(rng.NextBounded(3)));
+      uint64_t fresh = pool[rng.NextBounded(universe)];
+      while (want.Tracks(fresh)) fresh = pool[rng.NextBounded(universe)];
+      update(fresh, 1 + static_cast<int64_t>(rng.NextBounded(9)));
+      update(skewed(), 1);
+    }
+  };
+
+  for (size_t i = 0; i < 2 * capacity; ++i) update(skewed(), 1);
+  expect_same();
+  churn(300);
+  expect_same();
+
+  // Copies part way through a level: both go on in step with the original.
+  got.push_back(got[0]);
+  got.emplace_back(capacity);
+  got.back().Update(pool[0]);
+  got.back() = got[0];
+  churn(300);
+  expect_same();
+  for (size_t i = 0; i < capacity; ++i) update(skewed(), 1);
+  expect_same();
+  got.erase(got.begin() + 1, got.end());
+
+  // Merge, restore, then evict again from a rebuilt index and run.
+  SpaceSaving peer(capacity);
+  ScanSpaceSaving peer_want(capacity);
+  for (size_t i = 0; i < 2 * capacity; ++i) {
+    const uint64_t item = skewed();
+    const auto weight = 1 + static_cast<int64_t>(rng.NextBounded(4));
+    peer.Update(item, weight);
+    peer_want.Update(item, weight);
+  }
+  ASSERT_TRUE(got[0].Merge(peer).ok());
+  want.Merge(peer_want);
+  expect_same();
+  Result<SpaceSaving> restored = SpaceSaving::Deserialize(got[0].Serialize());
+  ASSERT_TRUE(restored.ok());
+  got[0] = std::move(restored).value();
+  want.Canonicalize();
+  churn(300);
+  expect_same();
+  std::vector<uint64_t> batch;
+  for (size_t i = 0; i < 2 * capacity; ++i) batch.push_back(skewed());
+  got[0].UpdateBatch(batch);
+  want.UpdateBatch(batch, std::vector<int64_t>(batch.size(), 1));
+  expect_same();
+}
+
+TEST(SpaceSavingTest, MinCountRunMatchesLinearScanReference) {
+  for (size_t capacity : {129, 1024, 4096}) {
+    RunMinCountRun(capacity);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The index lives behind one pointer: a summary is capacity, total, slot
+// vector and that pointer (48 bytes on LP64), and a large summary's index
+// block holds its table, run and radix scratch in 4 words per slot plus a
+// fixed header, however far the run has been consumed.
+TEST(SpaceSavingTest, IndexStaysInOneLazyBlock) {
+  EXPECT_EQ(sizeof(SpaceSaving), sizeof(size_t) + sizeof(int64_t) +
+                                     sizeof(std::vector<uint64_t>) +
+                                     sizeof(void*));
+  constexpr size_t kHeaderBytes = 64;
+  SpaceSaving small(128);
+  for (uint64_t item = 0; item < 1000; ++item) small.Update(item);
+  EXPECT_EQ(small.IndexBytes(), 0u);
+  for (size_t capacity : {129, 1024, 4096}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    SpaceSaving ss(capacity);
+    EXPECT_EQ(ss.IndexBytes(), 0u);
+    ZipfGenerator zipf(20 * capacity, 1.1, capacity);
+    for (size_t i = 0; i < 20 * capacity; ++i) ss.Update(zipf.Next());
+    ASSERT_EQ(ss.NumTracked(), capacity);
+    EXPECT_GT(ss.IndexBytes(), 0u);
+    EXPECT_LE(ss.IndexBytes(), 4 * std::bit_ceil(capacity) * sizeof(uint32_t) +
+                                   kHeaderBytes);
+    ASSERT_TRUE(ss.Merge(SpaceSaving(capacity)).ok());
+    EXPECT_EQ(ss.IndexBytes(), 0u);
+  }
+}
+
+// A weighted batch refuses what the same items would refuse one by one: a
+// weight below 1 inside a coalesced run, and a run or total past INT64_MAX.
+TEST(SpaceSavingDeathTest, WeightedBatchChecksEveryWeight) {
+  const std::vector<uint64_t> items = {7, 7};
+  for (size_t capacity : {16, 1024}) {
+    SpaceSaving ss(capacity);
+    EXPECT_DEATH(ss.UpdateBatch(items, std::vector<int64_t>{3, 0}), "");
+    EXPECT_DEATH(ss.UpdateBatch(items, std::vector<int64_t>{5, -3}), "");
+    EXPECT_DEATH(ss.UpdateBatch(items, std::vector<int64_t>{INT64_MAX, 1}),
+                 "");
+    EXPECT_DEATH(ss.Update(7, 0), "");
+    ss.Update(7, INT64_MAX - 1);
+    EXPECT_DEATH(ss.UpdateBatch({{8}}, std::vector<int64_t>{2}), "");
+    EXPECT_DEATH(ss.Update(8, 2), "");
+    ss.UpdateBatch({{8}}, std::vector<int64_t>{1});
+    EXPECT_EQ(ss.TotalWeight(), INT64_MAX);
   }
 }
 

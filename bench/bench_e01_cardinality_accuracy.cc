@@ -78,7 +78,7 @@ int main() {
         plus.Update(item);
       }
       const double dn = static_cast<double>(n);
-      raw_err.push_back((dense.RawCount() - dn) / dn);
+      raw_err.push_back((dense.Raw().count - dn) / dn);
       corrected_err.push_back((dense.Estimate() - dn) / dn);
       sparse_err.push_back((plus.Estimate() - dn) / dn);
     }

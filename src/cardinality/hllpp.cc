@@ -176,7 +176,11 @@ void HllPlusPlus::ConvertToDense() {
       dense_.registers_[dense_index] = static_cast<uint8_t>(dense_rho);
     }
   }
-  sparse_.clear();
+  // Swap, not clear(): clear() keeps the bucket array (about 19 KB at
+  // p = 14), and every copy of the dense sketch would copy it too.
+  // `sparse_ = {}` would not free it either: it assigns an empty
+  // initializer_list.
+  std::unordered_map<uint32_t, uint8_t>().swap(sparse_);
   is_sparse_ = false;
 }
 
@@ -196,14 +200,15 @@ double HllPlusPlus::Estimate() const {
   const double threshold = LinearCountingThreshold(precision_);
   if (threshold == 0) return dense_.Estimate();
   const double m = static_cast<double>(dense_.num_registers());
-  const uint32_t zeros = dense_.NumZeroRegisters();
-  if (zeros > 0) {
-    const double linear = m * std::log(m / static_cast<double>(zeros));
+  const HyperLogLog::RawStats stats = dense_.Raw();
+  if (stats.zeros > 0) {
+    const double linear = m * std::log(m / static_cast<double>(stats.zeros));
     if (linear <= threshold) return linear;
   }
-  const double raw = dense_.RawCount();
-  if (raw <= 5.0 * m) return raw - BiasEstimate(precision_, raw);
-  return raw;
+  if (stats.count <= 5.0 * m) {
+    return stats.count - BiasEstimate(precision_, stats.count);
+  }
+  return stats.count;
 }
 
 gems::Estimate HllPlusPlus::EstimateWithBounds(double confidence) const {
@@ -244,11 +249,13 @@ Status HllPlusPlus::Merge(const HllPlusPlus& other) {
 }
 
 size_t HllPlusPlus::MemoryBytes() const {
+  // The map's bucket array counts too; once dense it is one inline bucket.
+  const size_t buckets = sparse_.bucket_count() * sizeof(void*);
   if (is_sparse_) {
-    return sparse_.size() * (sizeof(uint32_t) + sizeof(uint8_t) +
-                             2 * sizeof(void*));
+    return buckets + sparse_.size() * (sizeof(uint32_t) + sizeof(uint8_t) +
+                                       2 * sizeof(void*));
   }
-  return dense_.MemoryBytes();
+  return buckets + dense_.MemoryBytes();
 }
 
 Status HllPlusPlus::MergeFromView(const View<HllPlusPlus>& view) {

@@ -91,38 +91,25 @@ void HyperLogLog::UpdateBatch(std::span<const uint64_t> items) {
                      items.size(), mixed_seed);
 }
 
-double HyperLogLog::RawCount() const {
+HyperLogLog::RawStats HyperLogLog::Raw() const {
   const double m = static_cast<double>(registers_.size());
   double harmonic;
-  uint32_t zeros;
+  RawStats stats;
   simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
-  return Alpha(static_cast<uint32_t>(registers_.size())) * m * m / harmonic;
-}
-
-uint32_t HyperLogLog::NumZeroRegisters() const {
-  double harmonic;
-  uint32_t zeros;
-  simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
-  return zeros;
+                                   &harmonic, &stats.zeros);
+  stats.count =
+      Alpha(static_cast<uint32_t>(registers_.size())) * m * m / harmonic;
+  return stats;
 }
 
 double HyperLogLog::Estimate() const {
-  // One kernel pass yields both the harmonic sum and the zero-register
-  // count the small-range correction needs.
   const double m = static_cast<double>(registers_.size());
-  double harmonic;
-  uint32_t zeros;
-  simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
-  const double raw =
-      Alpha(static_cast<uint32_t>(registers_.size())) * m * m / harmonic;
-  if (raw <= 2.5 * m && zeros > 0) {
+  const RawStats stats = Raw();
+  if (stats.count <= 2.5 * m && stats.zeros > 0) {
     // Small-range correction: linear counting over the registers.
-    return m * std::log(m / static_cast<double>(zeros));
+    return m * std::log(m / static_cast<double>(stats.zeros));
   }
-  return raw;
+  return stats.count;
 }
 
 gems::Estimate HyperLogLog::EstimateWithBounds(double confidence) const {

@@ -66,8 +66,13 @@ class HyperLogLog {
   gems::Estimate EstimateWithBounds(double confidence = 0.95) const;
 
   /// Raw harmonic-mean estimate with no range correction (exposed for the
-  /// E1 ablation of correction on/off).
-  double RawCount() const;
+  /// E1 ablation of correction on/off) and the number of zero registers,
+  /// from one kernel pass over the registers.
+  struct RawStats {
+    double count = 0.0;
+    uint32_t zeros = 0;
+  };
+  RawStats Raw() const;
 
   /// Register-wise max; requires equal precision and seed.
   Status Merge(const HyperLogLog& other);
@@ -82,7 +87,6 @@ class HyperLogLog {
   uint32_t num_registers() const {
     return static_cast<uint32_t>(registers_.size());
   }
-  uint32_t NumZeroRegisters() const;
   size_t MemoryBytes() const { return registers_.size(); }
   const HugeVector<uint8_t>& registers() const { return registers_; }
 

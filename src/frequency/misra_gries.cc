@@ -13,7 +13,8 @@ MisraGries::MisraGries(size_t num_counters) : num_counters_(num_counters) {
 
 void MisraGries::Update(uint64_t item, int64_t weight) {
   GEMS_CHECK(weight >= 1);
-  total_ += weight;
+  // Counters never exceed the total, so a total that fits bounds them.
+  GEMS_CHECK(!__builtin_add_overflow(total_, weight, &total_));
 
   const auto it = counters_.find(item);
   if (it != counters_.end()) {
@@ -61,11 +62,11 @@ void MisraGries::UpdateBatch(std::span<const uint64_t> items) {
     const int64_t run = static_cast<int64_t>(j - i);
     const auto it = counters_.find(item);
     if (it != counters_.end()) {
+      GEMS_CHECK(!__builtin_add_overflow(total_, run, &total_));
       it->second += run;
-      total_ += run;
     } else if (counters_.size() < num_counters_) {
+      GEMS_CHECK(!__builtin_add_overflow(total_, run, &total_));
       counters_.emplace(item, run);
-      total_ += run;
     } else {
       for (size_t t = i; t < j; ++t) Update(items[t]);
     }

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -15,6 +16,12 @@ namespace gems {
 namespace server {
 
 namespace {
+
+/// Least free space the receive buffer offers each recv(): a window of
+/// responses usually arrives in one call.
+constexpr size_t kRecvChunk = 64 * 1024;
+/// A receive buffer larger than this is released once drained.
+constexpr size_t kRecvKeep = 1 << 20;
 
 Status Transport(const char* what) {
   return Status::Unavailable(std::string(what) + ": " +
@@ -47,7 +54,10 @@ Result<GemsdClient> GemsdClient::Connect(const std::string& host,
 GemsdClient::GemsdClient(GemsdClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_id_(other.next_id_),
-      send_buffer_(std::move(other.send_buffer_)) {}
+      send_buffer_(std::move(other.send_buffer_)),
+      recv_buffer_(std::move(other.recv_buffer_)),
+      recv_pos_(std::exchange(other.recv_pos_, 0)),
+      recv_end_(std::exchange(other.recv_end_, 0)) {}
 
 GemsdClient& GemsdClient::operator=(GemsdClient&& other) noexcept {
   if (this != &other) {
@@ -55,6 +65,9 @@ GemsdClient& GemsdClient::operator=(GemsdClient&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     next_id_ = other.next_id_;
     send_buffer_ = std::move(other.send_buffer_);
+    recv_buffer_ = std::move(other.recv_buffer_);
+    recv_pos_ = std::exchange(other.recv_pos_, 0);
+    recv_end_ = std::exchange(other.recv_end_, 0);
   }
   return *this;
 }
@@ -66,6 +79,8 @@ void GemsdClient::CloseFd() {
     ::close(fd_);
     fd_ = -1;
   }
+  recv_buffer_.clear();
+  recv_pos_ = recv_end_ = 0;
 }
 
 Status GemsdClient::SendAll(const uint8_t* data, size_t size) {
@@ -84,27 +99,49 @@ Status GemsdClient::SendAll(const uint8_t* data, size_t size) {
   return Status::Ok();
 }
 
-Status GemsdClient::RecvFrame(std::vector<uint8_t>* frame, ByteSpan* body) {
-  frame->clear();
-  size_t need = 4;  // Length prefix first, then the body.
+Status GemsdClient::RecvFrame(ByteSpan* body) {
   for (;;) {
-    const size_t have = frame->size();
-    if (have >= need) break;
-    frame->resize(need);
-    const ssize_t n = ::recv(fd_, frame->data() + have, need - have, 0);
-    if (n > 0) {
-      frame->resize(have + static_cast<size_t>(n));
-      if (frame->size() == 4 && need == 4) {
-        const uint32_t length = static_cast<uint32_t>((*frame)[0]) |
-                                static_cast<uint32_t>((*frame)[1]) << 8 |
-                                static_cast<uint32_t>((*frame)[2]) << 16 |
-                                static_cast<uint32_t>((*frame)[3]) << 24;
-        if (length == 0 || length > kDefaultMaxFrameBytes) {
-          CloseFd();
-          return Status::Corruption("invalid gemsd frame length from peer");
-        }
-        need = 4 + length;
+    const ByteSpan pending(recv_buffer_.data() + recv_pos_,
+                           recv_end_ - recv_pos_);
+    size_t consumed = 0;
+    size_t frame_bytes = 0;
+    if (Status s = SplitFrame(pending, kDefaultMaxFrameBytes, body, &consumed,
+                              &frame_bytes);
+        !s.ok()) {
+      CloseFd();
+      return Status::Corruption("invalid gemsd frame from peer: " +
+                                std::string(s.message()));
+    }
+    if (consumed != 0) {
+      recv_pos_ += consumed;
+      return Status::Ok();
+    }
+    // Incomplete frame. With nothing buffered, start over at the front and
+    // let go of a buffer that a multi-MB frame grew.
+    if (recv_pos_ == recv_end_) {
+      recv_pos_ = recv_end_ = 0;
+      if (recv_buffer_.size() > kRecvKeep) {
+        std::vector<uint8_t>().swap(recv_buffer_);
       }
+    }
+    // Make room for the whole frame once its length is known, and for at
+    // least a chunk more to read into, moving a partial frame to the front
+    // first. The buffer then grows once per large frame, not by doubling.
+    if (recv_buffer_.size() - recv_end_ < kRecvChunk ||
+        recv_buffer_.size() - recv_pos_ < frame_bytes) {
+      if (recv_pos_ != 0) {
+        std::memmove(recv_buffer_.data(), recv_buffer_.data() + recv_pos_,
+                     recv_end_ - recv_pos_);
+        recv_end_ -= recv_pos_;
+        recv_pos_ = 0;
+      }
+      recv_buffer_.resize(std::max(
+          {recv_buffer_.size(), frame_bytes, recv_end_ + kRecvChunk}));
+    }
+    const ssize_t n = ::recv(fd_, recv_buffer_.data() + recv_end_,
+                             recv_buffer_.size() - recv_end_, 0);
+    if (n > 0) {
+      recv_end_ += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -114,12 +151,9 @@ Status GemsdClient::RecvFrame(std::vector<uint8_t>* frame, ByteSpan* body) {
     }
     return Transport("recv");
   }
-  *body = ByteSpan(frame->data() + 4, frame->size() - 4);
-  return Status::Ok();
 }
 
-Status GemsdClient::RoundTrip(Request& request, Response* response,
-                              std::vector<uint8_t>* frame) {
+Status GemsdClient::RoundTrip(Request& request, Response* response) {
   if (fd_ < 0) return Status::Unavailable("gemsd client not connected");
   request.version = kProtocolVersion;
   request.id = next_id_++;
@@ -129,7 +163,7 @@ Status GemsdClient::RoundTrip(Request& request, Response* response,
     return s;
   }
   ByteSpan body;
-  if (Status s = RecvFrame(frame, &body); !s.ok()) return s;
+  if (Status s = RecvFrame(&body); !s.ok()) return s;
   if (Status s = DecodeResponse(body, response); !s.ok()) {
     CloseFd();
     return s;
@@ -161,10 +195,9 @@ Status GemsdClient::Pipeline(std::span<Request> requests,
   // Phase 2: drain exactly one response per request, in id order (the
   // daemon serves one connection serially, so responses cannot reorder).
   statuses->reserve(requests.size());
-  std::vector<uint8_t> frame;
   for (const Request& request : requests) {
     ByteSpan body;
-    if (Status s = RecvFrame(&frame, &body); !s.ok()) return s;
+    if (Status s = RecvFrame(&body); !s.ok()) return s;
     Response response;
     if (Status s = DecodeResponse(body, &response); !s.ok()) {
       CloseFd();
@@ -183,8 +216,7 @@ Status GemsdClient::Ping() {
   Request request;
   request.opcode = Opcode::kPing;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Status GemsdClient::Create(const std::string& key,
@@ -194,8 +226,7 @@ Status GemsdClient::Create(const std::string& key,
   request.key = key;
   request.sketch_type = sketch_type;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Status GemsdClient::CreateTimed(const std::string& key,
@@ -211,8 +242,7 @@ Status GemsdClient::CreateTimed(const std::string& key,
   request.num_panes = num_panes;
   request.half_life = half_life;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Status GemsdClient::Drop(const std::string& key) {
@@ -220,8 +250,7 @@ Status GemsdClient::Drop(const std::string& key) {
   request.opcode = Opcode::kDrop;
   request.key = key;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Result<GemsdClient::ListResult> GemsdClient::List(const std::string& prefix,
@@ -231,8 +260,7 @@ Result<GemsdClient::ListResult> GemsdClient::List(const std::string& prefix,
   request.prefix = prefix;
   request.limit = limit;
   Response response;
-  std::vector<uint8_t> frame;
-  if (Status s = RoundTrip(request, &response, &frame); !s.ok()) return s;
+  if (Status s = RoundTrip(request, &response); !s.ok()) return s;
   ListResult result;
   result.total = response.total_keys;
   result.entries = std::move(response.entries);
@@ -246,8 +274,7 @@ Status GemsdClient::Update(const std::string& key,
   request.key = key;
   request.items = items;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Status GemsdClient::UpdateTimed(const std::string& key,
@@ -263,8 +290,7 @@ Status GemsdClient::UpdateTimed(const std::string& key,
   request.items = items;
   request.timestamps = timestamps;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Status GemsdClient::Merge(const std::string& key, ByteSpan envelope,
@@ -275,8 +301,7 @@ Status GemsdClient::Merge(const std::string& key, ByteSpan envelope,
   request.blob = envelope;
   if (trusted) request.flags |= kFlagTrustedMerge;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 Result<QueryResult> GemsdClient::Query(const std::string& key,
@@ -286,8 +311,7 @@ Result<QueryResult> GemsdClient::Query(const std::string& key,
   request.key = key;
   request.confidence = confidence;
   Response response;
-  std::vector<uint8_t> frame;
-  if (Status s = RoundTrip(request, &response, &frame); !s.ok()) return s;
+  if (Status s = RoundTrip(request, &response); !s.ok()) return s;
   return std::move(response.query);
 }
 
@@ -301,8 +325,7 @@ Result<QueryResult> GemsdClient::QueryItem(const std::string& key,
   request.item = item;
   request.confidence = confidence;
   Response response;
-  std::vector<uint8_t> frame;
-  if (Status s = RoundTrip(request, &response, &frame); !s.ok()) return s;
+  if (Status s = RoundTrip(request, &response); !s.ok()) return s;
   return std::move(response.query);
 }
 
@@ -310,8 +333,7 @@ Result<std::vector<uint8_t>> GemsdClient::Checkpoint() {
   Request request;
   request.opcode = Opcode::kCheckpoint;
   Response response;
-  std::vector<uint8_t> frame;
-  if (Status s = RoundTrip(request, &response, &frame); !s.ok()) return s;
+  if (Status s = RoundTrip(request, &response); !s.ok()) return s;
   return std::vector<uint8_t>(response.blob.begin(), response.blob.end());
 }
 
@@ -320,8 +342,7 @@ Status GemsdClient::Restore(ByteSpan image) {
   request.opcode = Opcode::kRestore;
   request.blob = image;
   Response response;
-  std::vector<uint8_t> frame;
-  return RoundTrip(request, &response, &frame);
+  return RoundTrip(request, &response);
 }
 
 }  // namespace server

@@ -110,18 +110,26 @@ class GemsdClient {
 
  private:
   /// One framed round trip. On success `*response` is decoded and its
-  /// borrowed fields point into `*frame` (kept alive by the caller).
-  Status RoundTrip(Request& request, Response* response,
-                   std::vector<uint8_t>* frame);
+  /// borrowed fields point into the receive buffer, valid until the next
+  /// call that reads from the connection.
+  Status RoundTrip(Request& request, Response* response);
 
   Status SendAll(const uint8_t* data, size_t size);
-  Status RecvFrame(std::vector<uint8_t>* frame, ByteSpan* body);
+  /// Cuts the next frame out of the receive buffer, reading at least
+  /// 64 KiB of room per recv() until one is complete. `*body` points into
+  /// the buffer and stays valid until the next RecvFrame.
+  Status RecvFrame(ByteSpan* body);
 
   void CloseFd();
 
   int fd_ = -1;
   uint64_t next_id_ = 1;
   std::vector<uint8_t> send_buffer_;
+  /// Received bytes: [recv_pos_, recv_end_) are not yet cut into frames.
+  /// The vector's size is its usable capacity, so a read never zeroes it.
+  std::vector<uint8_t> recv_buffer_;
+  size_t recv_pos_ = 0;
+  size_t recv_end_ = 0;
 };
 
 }  // namespace server

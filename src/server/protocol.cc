@@ -55,7 +55,7 @@ const char* OpcodeName(Opcode op) {
 }
 
 Status SplitFrame(ByteSpan input, uint32_t max_frame_bytes, ByteSpan* body,
-                  size_t* consumed) {
+                  size_t* consumed, size_t* frame_bytes) {
   *consumed = 0;
   if (input.size() < kFramePrefixSize) return Status::Ok();
   // The prefix is little-endian on the wire; reassemble portably.
@@ -73,6 +73,7 @@ Status SplitFrame(ByteSpan input, uint32_t max_frame_bytes, ByteSpan* body,
         " bytes exceeds the " + std::to_string(max_frame_bytes) +
         "-byte cap");
   }
+  if (frame_bytes != nullptr) *frame_bytes = kFramePrefixSize + length;
   if (input.size() < kFramePrefixSize + length) return Status::Ok();
   *body = input.subspan(kFramePrefixSize, length);
   *consumed = kFramePrefixSize + length;

@@ -152,11 +152,14 @@ struct Response {
 /// Scans `input` for one complete frame. On success with a full frame,
 /// `*body` borrows the frame body and `*consumed` is the total bytes to
 /// drop from the stream (header + body). An incomplete frame is not an
-/// error: ok with `*consumed == 0`. A length prefix of zero or beyond
-/// `max_frame_bytes` is a fatal protocol violation (kInvalidArgument) —
-/// the connection cannot be resynchronized and must be closed.
+/// error: ok with `*consumed == 0`. Once the length prefix is in,
+/// `*frame_bytes` (when given) is the whole frame's size, header
+/// included, so a reader can make room for it at once. A length prefix
+/// of zero or beyond `max_frame_bytes` is a fatal protocol violation
+/// (kInvalidArgument) — the connection cannot be resynchronized and must
+/// be closed.
 Status SplitFrame(ByteSpan input, uint32_t max_frame_bytes, ByteSpan* body,
-                  size_t* consumed);
+                  size_t* consumed, size_t* frame_bytes = nullptr);
 
 /// Appends one framed request to `out` (length prefix included).
 void EncodeRequest(const Request& request, std::vector<uint8_t>* out);

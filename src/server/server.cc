@@ -284,8 +284,11 @@ void Server::RunLoop(Loop& loop) {
     return true;
   };
 
-  // Splits and serves every complete frame in the read buffer. Returns
-  // false on a protocol violation (connection must close).
+  // Splits and serves every complete frame in the read buffer. Responses
+  // collect in the write buffer and go out in one send after the burst,
+  // or as soon as kReadChunk bytes are pending. Returns false on a
+  // protocol violation (connection must close, after a last flush of the
+  // responses to the frames before it).
   auto serve_frames = [this, &flush_writes](Connection& conn) {
     for (;;) {
       const ByteSpan pending(conn.read_buffer.data() + conn.read_pos,
@@ -294,6 +297,7 @@ void Server::RunLoop(Loop& loop) {
       size_t consumed = 0;
       if (!SplitFrame(pending, options_.max_frame_bytes, &body, &consumed)
                .ok()) {
+        flush_writes(conn);
         return false;
       }
       if (consumed == 0) break;  // Incomplete frame: wait for more bytes.
@@ -311,12 +315,17 @@ void Server::RunLoop(Loop& loop) {
         response.code = decoded.code();
         response.message = std::string(decoded.message());
       } else {
+        flush_writes(conn);
         return false;  // Undecodable body: drop the connection.
       }
       EncodeResponse(response, &conn.write_buffer);
       conn.read_pos += consumed;
-      if (!flush_writes(conn)) return false;
+      if (conn.write_buffer.size() - conn.write_pos >= kReadChunk &&
+          !flush_writes(conn)) {
+        return false;
+      }
     }
+    if (!flush_writes(conn)) return false;
     // Compact once parsed-out; cheap because it only runs when the
     // buffer is fully or mostly drained.
     if (conn.read_pos == conn.read_buffer.size()) {

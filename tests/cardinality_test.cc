@@ -432,6 +432,33 @@ TEST(HllPlusPlusTest, ConversionPreservesDenseEquivalence) {
   EXPECT_DOUBLE_EQ(hpp.Estimate(), dense.Estimate());
 }
 
+// Going dense frees the sparse map, bucket array included: a converted
+// sketch and every copy of it hold the registers and little else.
+TEST(HllPlusPlusTest, DenseSketchAndItsCopiesHoldNoSparseBuckets) {
+  for (int p : {10, 14}) {
+    const size_t bound = (size_t{1} << p) + 64;
+    HllPlusPlus grown(p, 8);
+    grown.UpdateBatch(DistinctItems(size_t{1} << p, 29));
+    ASSERT_FALSE(grown.IsSparse());
+    HllPlusPlus forced(p, 8);
+    for (uint64_t item : DistinctItems((size_t{1} << p) / 16, 30)) {
+      forced.Update(item);
+    }
+    ASSERT_TRUE(forced.IsSparse());
+    EXPECT_GT(forced.MemoryBytes(), (size_t{1} << p) / 16);
+    forced.ConvertToDense();
+    for (const HllPlusPlus* sketch : {&grown, &forced}) {
+      EXPECT_LE(sketch->MemoryBytes(), bound) << "p=" << p;
+      const HllPlusPlus copy = *sketch;
+      EXPECT_LE(copy.MemoryBytes(), bound) << "p=" << p;
+      HllPlusPlus assigned(p, 8);
+      assigned = *sketch;
+      EXPECT_LE(assigned.MemoryBytes(), bound) << "p=" << p;
+      EXPECT_EQ(copy.Serialize(), sketch->Serialize());
+    }
+  }
+}
+
 TEST(HllPlusPlusTest, MergeSparseSparse) {
   HllPlusPlus a(12, 4), b(12, 4);
   const auto items = DistinctItems(400, 24);

@@ -1275,6 +1275,23 @@ TEST(SpaceSavingDeathTest, WeightedBatchChecksEveryWeight) {
   }
 }
 
+// MisraGries refuses a total past INT64_MAX the same way, weighted or by a
+// batch run, tracked item or new one.
+TEST(MisraGriesDeathTest, TotalPastInt64MaxAborts) {
+  MisraGries mg(4);
+  mg.Update(1, INT64_MAX - 1);
+  EXPECT_DEATH(mg.Update(2, 2), "");
+  EXPECT_DEATH(mg.Update(1, 2), "");
+  EXPECT_DEATH(mg.UpdateBatch(std::vector<uint64_t>{1, 1}), "");
+  EXPECT_DEATH(mg.UpdateBatch(std::vector<uint64_t>{3, 3}), "");
+  mg.Update(2, 1);
+  EXPECT_EQ(mg.TotalWeight(), INT64_MAX);
+
+  MisraGries fresh(4);
+  fresh.Update(1, INT64_MAX);
+  EXPECT_DEATH(fresh.Update(2, 1), "");
+}
+
 uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (uint8_t b : bytes) {

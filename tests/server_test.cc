@@ -62,6 +62,13 @@ TEST_F(ProtocolTest, SplitFrameIncompleteThenComplete) {
                            kDefaultMaxFrameBytes, &body, &consumed)
                     .ok());
     EXPECT_EQ(consumed, 0u) << "prefix of " << cut;
+    // Once the length prefix is in, the frame's full size is known.
+    size_t frame_bytes = 0;
+    ASSERT_TRUE(SplitFrame(ByteSpan(stream.data(), cut),
+                           kDefaultMaxFrameBytes, &body, &consumed,
+                           &frame_bytes)
+                    .ok());
+    EXPECT_EQ(frame_bytes, cut < 4 ? 0 : stream.size()) << "prefix of " << cut;
   }
   ByteSpan body;
   size_t consumed = 0;
@@ -601,24 +608,90 @@ TEST_F(LoopbackTest, BasicLifecycleOverSockets) {
 }
 
 TEST_F(LoopbackTest, PipelinedRequestsInOneWrite) {
-  // The server must handle several frames arriving in a single read.
+  // One Pipeline() window: 4,000 small requests whose responses (about
+  // 140 KB, past the server's 64 KiB flush threshold) go out batched, then
+  // a multi-MB CHECKPOINT response that spans many client reads, then more
+  // requests behind it. Every status must come back in order.
   Keyspace keyspace;
   Server server(&keyspace);
   ASSERT_TRUE(server.Start().ok());
   Result<GemsdClient> client =
       GemsdClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
+  GemsdClient& c = client.value();
 
-  // The blocking client serializes round trips; pipelining is exercised
-  // end-to-end by issuing many small requests back to back, which the
-  // kernel coalesces into shared reads on the server side.
-  ASSERT_TRUE(client.value().Create("k", "hyperloglog").ok());
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(client.value().Update("k", Items(16, 100 + i)).ok());
+  ASSERT_TRUE(c.Create("users", "hllpp").ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(c.Create("cm-" + std::to_string(i), "count_min").ok());
   }
-  Result<QueryResult> query = client.value().Query("k");
+  // Blocked Bloom filters at default size (1 MiB of bits each) make the
+  // checkpoint image several MB.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c.Create("bf-" + std::to_string(i), "blocked_bloom").ok());
+  }
+
+  constexpr size_t kSmall = 4000;
+  const std::vector<uint64_t> items = Items(4 * kSmall, 11);
+  std::vector<std::string> ghosts;
+  for (size_t i = 0; i < kSmall / 4; ++i) {
+    ghosts.push_back("ghost-" + std::to_string(i));
+  }
+  std::vector<Request> requests(kSmall);
+  std::vector<StatusCode> want(kSmall, StatusCode::kOk);
+  for (size_t i = 0; i < kSmall; ++i) {
+    Request& r = requests[i];
+    switch (i % 4) {
+      case 0:
+        r.opcode = Opcode::kUpdate;
+        r.key = i % 8 == 0 ? "users" : "cm-" + std::to_string(i % 40);
+        r.items = std::span<const uint64_t>(items).subspan(4 * i, 4);
+        break;
+      case 1:
+        r.opcode = Opcode::kQuery;
+        r.key = "users";
+        break;
+      case 2:
+        r.opcode = Opcode::kPing;
+        break;
+      case 3:
+        r.opcode = i % 8 == 3 ? Opcode::kQuery : Opcode::kUpdate;
+        r.key = ghosts[i / 4];
+        r.items = std::span<const uint64_t>(items).subspan(4 * i, 4);
+        want[i] = StatusCode::kNotFound;
+        break;
+    }
+  }
+  requests.emplace_back().opcode = Opcode::kCheckpoint;
+  want.push_back(StatusCode::kOk);
+  for (int i = 0; i < 8; ++i) {
+    requests.emplace_back().opcode = Opcode::kPing;
+    want.push_back(StatusCode::kOk);
+  }
+
+  std::vector<Status> statuses;
+  ASSERT_TRUE(c.Pipeline(requests, &statuses).ok());
+  ASSERT_EQ(statuses.size(), requests.size());
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    ASSERT_EQ(statuses[i].code(), want[i]) << "request " << i;
+  }
+
+  // The image itself, fetched the same way over the same connection,
+  // parses and restores to a byte-identical keyspace.
+  Result<std::vector<uint8_t>> image = c.Checkpoint();
+  ASSERT_TRUE(image.ok());
+  EXPECT_GT(image.value().size(), size_t{4} << 20);
+  Keyspace restored;
+  ASSERT_TRUE(restored.Restore(ByteSpan(image.value())).ok());
+  EXPECT_EQ(restored.size(), 45u);
+  std::vector<uint8_t> again;
+  ByteSink sink(&again);
+  ASSERT_TRUE(restored.Checkpoint(sink).ok());
+  EXPECT_EQ(again, image.value());
+
+  Result<QueryResult> query = c.Query("users");
   ASSERT_TRUE(query.ok());
-  EXPECT_GT(query.value().estimate.value, 2000.0);
+  EXPECT_NEAR(query.value().estimate.value, 2000.0, 0.05 * 2000.0);
+  EXPECT_TRUE(c.Ping().ok());
   server.Stop();
 }
 

@@ -98,10 +98,7 @@ double LinearCountingThreshold(int p) {
 }  // namespace
 
 HllPlusPlus::HllPlusPlus(int precision, uint64_t seed)
-    : precision_(precision),
-      seed_(seed),
-      is_sparse_(true),
-      dense_(precision, seed) {
+    : precision_(precision), seed_(seed) {
   GEMS_CHECK(precision >= 4 && precision <= 18);
 }
 
@@ -131,10 +128,10 @@ void HllPlusPlus::UpdateSparse(uint64_t hash) {
 
 void HllPlusPlus::Update(uint64_t item) {
   const uint64_t hash = Hash64(item, seed_);
-  if (is_sparse_) {
-    UpdateSparse(hash);
+  if (dense_) {
+    dense_->UpdateHash(hash);
   } else {
-    dense_.UpdateHash(hash);
+    UpdateSparse(hash);
   }
 }
 
@@ -147,16 +144,17 @@ void HllPlusPlus::UpdateBatch(std::span<const uint64_t> items) {
     // Sparse mode feeds the map hash by hash (a conversion can trigger at
     // any item); the moment the sketch is dense, the rest of the chunk
     // takes the dense branch-light register pass.
-    while (is_sparse_ && i < n) UpdateSparse(hashes[i++]);
+    while (!dense_ && i < n) UpdateSparse(hashes[i++]);
     if (i < n) {
-      dense_.UpdateHashes(std::span<const uint64_t>(hashes + i, n - i));
+      dense_->UpdateHashes(std::span<const uint64_t>(hashes + i, n - i));
     }
     items = items.subspan(n);
   }
 }
 
 void HllPlusPlus::ConvertToDense() {
-  if (!is_sparse_) return;
+  if (dense_) return;
+  HyperLogLog& dense = dense_.emplace(precision_, seed_);
   const int shift = kSparsePrecision - precision_;
   for (const auto& [index, rho] : sparse_) {
     const uint32_t dense_index = index >> shift;
@@ -172,8 +170,8 @@ void HllPlusPlus::ConvertToDense() {
         dense_rho = shift + rho;
       }
     }
-    if (dense_rho > dense_.registers_[dense_index]) {
-      dense_.registers_[dense_index] = static_cast<uint8_t>(dense_rho);
+    if (dense_rho > dense.registers_[dense_index]) {
+      dense.registers_[dense_index] = static_cast<uint8_t>(dense_rho);
     }
   }
   // Swap, not clear(): clear() keeps the bucket array (about 19 KB at
@@ -181,11 +179,10 @@ void HllPlusPlus::ConvertToDense() {
   // `sparse_ = {}` would not free it either: it assigns an empty
   // initializer_list.
   std::unordered_map<uint32_t, uint8_t>().swap(sparse_);
-  is_sparse_ = false;
 }
 
 double HllPlusPlus::Estimate() const {
-  if (is_sparse_) {
+  if (!dense_) {
     // Linear counting over the 2^25 sparse buckets: essentially exact at
     // the cardinalities where the sketch is still sparse.
     const double m = static_cast<double>(uint64_t{1} << kSparsePrecision);
@@ -198,9 +195,9 @@ double HllPlusPlus::Estimate() const {
   // counting below the empirical threshold; otherwise fall back to the
   // classic corrected estimator.
   const double threshold = LinearCountingThreshold(precision_);
-  if (threshold == 0) return dense_.Estimate();
-  const double m = static_cast<double>(dense_.num_registers());
-  const HyperLogLog::RawStats stats = dense_.Raw();
+  if (threshold == 0) return dense_->Estimate();
+  const double m = static_cast<double>(dense_->num_registers());
+  const HyperLogLog::RawStats stats = dense_->Raw();
   if (stats.zeros > 0) {
     const double linear = m * std::log(m / static_cast<double>(stats.zeros));
     if (linear <= threshold) return linear;
@@ -214,13 +211,13 @@ double HllPlusPlus::Estimate() const {
 gems::Estimate HllPlusPlus::EstimateWithBounds(double confidence) const {
   const double n = Estimate();
   double std_error;
-  if (is_sparse_) {
+  if (!dense_) {
     const double m = static_cast<double>(uint64_t{1} << kSparsePrecision);
     const double t = n / m;
     std_error = std::sqrt(std::max(0.0, m * (std::exp(t) - t - 1.0)));
   } else {
     std_error =
-        1.04 / std::sqrt(static_cast<double>(dense_.num_registers())) * n;
+        1.04 / std::sqrt(static_cast<double>(dense_->num_registers())) * n;
   }
   return EstimateFromStdError(n, std_error, confidence);
 }
@@ -230,7 +227,7 @@ Status HllPlusPlus::Merge(const HllPlusPlus& other) {
     return Status::InvalidArgument(
         "HLL++ merge requires equal precision and seed");
   }
-  if (is_sparse_ && other.is_sparse_) {
+  if (!dense_ && !other.dense_) {
     for (const auto& [index, rho] : other.sparse_) {
       uint8_t& reg = sparse_[index];
       if (rho > reg) reg = rho;
@@ -239,23 +236,21 @@ Status HllPlusPlus::Merge(const HllPlusPlus& other) {
     return Status::Ok();
   }
   ConvertToDense();
-  if (other.is_sparse_) {
+  if (!other.dense_) {
     // Convert a copy of the other side without mutating it.
     HllPlusPlus copy = other;
     copy.ConvertToDense();
-    return dense_.Merge(copy.dense_);
+    return dense_->Merge(*copy.dense_);
   }
-  return dense_.Merge(other.dense_);
+  return dense_->Merge(*other.dense_);
 }
 
 size_t HllPlusPlus::MemoryBytes() const {
   // The map's bucket array counts too; once dense it is one inline bucket.
   const size_t buckets = sparse_.bucket_count() * sizeof(void*);
-  if (is_sparse_) {
-    return buckets + sparse_.size() * (sizeof(uint32_t) + sizeof(uint8_t) +
-                                       2 * sizeof(void*));
-  }
-  return buckets + dense_.MemoryBytes();
+  if (dense_) return buckets + dense_->MemoryBytes();
+  return buckets + sparse_.size() * (sizeof(uint32_t) + sizeof(uint8_t) +
+                                     2 * sizeof(void*));
 }
 
 Status HllPlusPlus::MergeFromView(const View<HllPlusPlus>& view) {
@@ -275,8 +270,8 @@ void HllPlusPlus::SerializeTo(ByteSink& sink) const {
   EnvelopeBuilder env(sink, kTypeId);
   sink.PutU8(static_cast<uint8_t>(precision_));
   sink.PutU64(seed_);
-  sink.PutU8(is_sparse_ ? 1 : 0);
-  if (is_sparse_) {
+  sink.PutU8(dense_ ? 0 : 1);
+  if (!dense_) {
     // Canonical order: the map iterates in unspecified order, but equal
     // states must produce identical bytes (and checksums) on the wire.
     std::vector<std::pair<uint32_t, uint8_t>> entries(sparse_.begin(),
@@ -288,7 +283,7 @@ void HllPlusPlus::SerializeTo(ByteSink& sink) const {
       sink.PutU8(rho);
     }
   } else {
-    sink.PutRaw(dense_.registers().data(), dense_.registers().size());
+    sink.PutRaw(dense_->registers().data(), dense_->registers().size());
   }
 }
 
@@ -323,9 +318,9 @@ Result<HllPlusPlus> HllPlusPlus::Deserialize(
       sketch.sparse_[index] = rho;
     }
   } else if (sparse_flag == 0) {
-    sketch.is_sparse_ = false;
-    if (Status sr = r.GetRaw(sketch.dense_.registers_.data(),
-                             sketch.dense_.registers_.size());
+    HyperLogLog& dense = sketch.dense_.emplace(precision, seed);
+    if (Status sr =
+            r.GetRaw(dense.registers_.data(), dense.registers_.size());
         !sr.ok()) {
       return sr;
     }

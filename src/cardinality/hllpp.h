@@ -2,6 +2,7 @@
 #define GEMS_CARDINALITY_HLLPP_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -79,7 +80,7 @@ class HllPlusPlus {
   /// construction.
   Status MergeFromView(const View<HllPlusPlus>& view);
 
-  bool IsSparse() const { return is_sparse_; }
+  bool IsSparse() const { return !dense_.has_value(); }
   int precision() const { return precision_; }
   size_t MemoryBytes() const;
 
@@ -102,12 +103,12 @@ class HllPlusPlus {
 
   int precision_;
   uint64_t seed_;
-  bool is_sparse_;
   /// Sparse mode: map sparse-index (top 25 hash bits) -> max rho of the
   /// remaining 39 bits.
   std::unordered_map<uint32_t, uint8_t> sparse_;
-  /// Dense mode.
-  HyperLogLog dense_;
+  /// Dense mode: engaged by ConvertToDense (or a dense image), so a sparse
+  /// sketch and its copies hold no 2^p-byte register array.
+  std::optional<HyperLogLog> dense_;
 };
 
 }  // namespace gems

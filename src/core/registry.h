@@ -84,6 +84,12 @@ class AnySketch {
     return has_value() ? SketchTypeName(type_) : "empty";
   }
 
+  /// True when another handle shares this one's state, so the next
+  /// mutation clones it first (copy-on-write).
+  bool shares_state() const {
+    return impl_ != nullptr && impl_.use_count() > 1;
+  }
+
   /// Feeds one 64-bit item. Item sketches take it directly, weighted
   /// sketches with weight 1, value (quantile) sketches as a double,
   /// membership filters via Insert, and plain counters via Increment.
@@ -337,7 +343,7 @@ class AnySketch {
 
   /// Copy-on-write: mutating operations clone when the state is shared.
   void EnsureUnique() {
-    if (impl_ != nullptr && impl_.use_count() > 1) impl_ = impl_->Clone();
+    if (shares_state()) impl_ = impl_->Clone();
   }
 
   SketchTypeId type_{};

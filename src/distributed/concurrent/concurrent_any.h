@@ -14,11 +14,15 @@
 /// \file
 /// Type-erased concurrent wrapper: ConcurrentSummary over AnySketch, so
 /// the engine (and the future gemsd server) can stand up a live,
-/// queryable-under-ingest sketch knowing only its registry name. AnySketch
-/// is copy-on-write, which composes cleanly with the delta-fold design:
-/// publishing shares the global's representation with readers, and the
-/// next fold's mutation clones it first (EnsureUnique sees the shared
-/// count), so pinned readers always see an immutable version.
+/// queryable-under-ingest sketch knowing only its registry name. The
+/// wrapper keeps two copies of the sketch and applies every write to both
+/// in place (see epoch.h), so steady-state writes clone nothing. AnySketch
+/// is copy-on-write, and the two copies start out sharing the prototype's
+/// state: a copy that still shares its state (a fresh key, a restored
+/// checkpoint, a copy a held Snapshot shares) is brought up to date by
+/// assigning it a shared handle to the other copy rather than by replaying
+/// the write, and the next write to it clones once. Pinned readers always
+/// see an immutable version.
 
 namespace gems {
 
@@ -96,8 +100,8 @@ class ConcurrentAnySketch {
     impl_->UpdateBatch(items);
   }
 
-  /// Folds a batch straight into the global state under the fold mutex
-  /// and publishes before returning — the request-scoped ingest path for
+  /// Folds a batch straight into the shared state under the fold mutex,
+  /// visible to readers on return — the request-scoped ingest path for
   /// servers fronting very many keys. The per-thread slot machinery binds
   /// one TLS entry per (thread, instance) and its lookup is linear in the
   /// instances a thread has touched, which is exactly wrong for a daemon
@@ -107,19 +111,19 @@ class ConcurrentAnySketch {
   /// any thread sees the items.
   Status ApplyBatch(std::span<const uint64_t> items) {
     return impl_->FoldExternal(
-        [&](AnySketch& global) { return global.UpdateBatch(items); });
+        [&](AnySketch& copy) { return copy.UpdateBatch(items); });
   }
 
-  /// Folds a timestamped batch into the global state and publishes — the
-  /// timed analogue of ApplyBatch. Pane rotation and decay happen inside
-  /// the fold, so the new epoch is published atomically: readers see
+  /// Folds a timestamped batch into the shared state — the timed analogue
+  /// of ApplyBatch. Pane rotation and decay happen inside the fold, so the
+  /// new epoch is published atomically: readers see
   /// either the pre-rotation or post-rotation state, and Estimate() stays
   /// one atomic load throughout. Untimed sketches ingest the items and
   /// ignore the timestamps.
   Status ApplyBatchTimed(std::span<const uint64_t> timestamps,
                          std::span<const uint64_t> items) {
-    return impl_->FoldExternal([&](AnySketch& global) {
-      return global.UpdateBatchTimed(timestamps, items);
+    return impl_->FoldExternal([&](AnySketch& copy) {
+      return copy.UpdateBatchTimed(timestamps, items);
     });
   }
 
@@ -128,7 +132,15 @@ class ConcurrentAnySketch {
   /// untimed sketches.
   Status Advance(uint64_t now) {
     return impl_->FoldExternal(
-        [&](AnySketch& global) { return global.Advance(now); });
+        [&](AnySketch& copy) { return copy.Advance(now); });
+  }
+
+  /// Runs `fn(const AnySketch&)` against the pinned active copy and
+  /// returns its result; same rules as ConcurrentSummary::Query (no
+  /// retained reference, no write to this sketch from inside `fn`).
+  template <typename Fn>
+  auto Query(Fn&& fn) const {
+    return impl_->Query(std::forward<Fn>(fn));
   }
 
   /// Wait-free one-line estimate of the published version.
@@ -166,13 +178,13 @@ class ConcurrentAnySketch {
           " into " + SketchTypeName(prototype_type_));
     }
     return impl_->FoldExternal(
-        [&](AnySketch& global) { return global.MergeFromView(view); });
+        [&](AnySketch& copy) { return copy.MergeFromView(view); });
   }
 
   /// Merges a materialized peer handle into the live state.
   Status Merge(const AnySketch& other) {
     return impl_->FoldExternal(
-        [&](AnySketch& global) { return global.Merge(other); });
+        [&](AnySketch& copy) { return copy.Merge(other); });
   }
 
   /// Replaces the live state wholesale — the checkpoint-restore entry
@@ -184,8 +196,9 @@ class ConcurrentAnySketch {
       return Status::InvalidArgument(
           "reset needs a non-empty sketch of the wrapped type");
     }
-    return impl_->FoldExternal([&](AnySketch& global) {
-      global = std::move(state);
+    // Copy, not move: the write may run once per copy.
+    return impl_->FoldExternal([&](AnySketch& copy) {
+      copy = state;
       return Status::Ok();
     });
   }

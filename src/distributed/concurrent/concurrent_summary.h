@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <concepts>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,26 +32,33 @@
 ///            thread's private *local sketch* (the expensive hashing work,
 ///            entirely off any shared state)
 ///        --> propagation: the local sketch is folded (Merge) into the
-///            shared global under the fold mutex, then reset to an empty
+///            shared summary under the fold mutex, then reset to an empty
 ///            delta. Folds use try_lock first: a writer that finds the
 ///            mutex busy just keeps accumulating locally and retries at
 ///            the next drain, up to a hard pending cap — so the common
 ///            case never blocks, and the worst case is one short merge.
 ///
-/// Reader side: every propagation republishes the global into an
-/// epoch-versioned double buffer (see epoch.h) and refreshes a cached
-/// atomic estimate. Estimate() is a single atomic load; Query(),
-/// EstimateWithBounds() and Snapshot() run against a pinned published
-/// version. No reader ever takes the fold mutex or stalls ingest.
+/// Reader side: the summary lives in two copies (see epoch.h). Every
+/// write (a writer's fold, an external fold, a slotless overflow update)
+/// is applied to the standby copy, the epoch flips, and the same write is
+/// replayed on the former active copy once its readers have left, so no
+/// write copies the whole summary. A copy that still shares its state with
+/// another handle (a copy-on-write AnySketch fresh from its prototype, or
+/// one a held Snapshot shares) is assigned the new active copy instead of
+/// replaying, which costs one shared handle. Estimate() is a single atomic
+/// load of an estimate cached after each write; Query(),
+/// EstimateWithBounds() and Snapshot() run against the pinned active copy.
+/// No reader ever takes the fold mutex or stalls ingest.
 ///
 /// Consistency: queries see a *bounded-staleness* view — everything up to
-/// each writer's last propagation (at most max_pending_items per writer
-/// plus one publication behind), and always a *consistent* one: a
-/// published version is a real sketch state, the merge of whole deltas,
-/// never a torn mix. Once quiesced (writers joined — thread-exit hooks
-/// fold residuals — or FlushLocal() called), the snapshot equals the
-/// sequential sketch fed the same stream; for partition-independent
-/// merges (HLL max, Count-Min sum, Bloom OR) it is byte-identical.
+/// each writer's last propagation (at most max_pending_items per writer),
+/// plus any slotless single items still queued (fewer than
+/// propagate_items) — and always a *consistent* one: the active copy is a
+/// real sketch state, the merge of whole deltas, never a torn mix. Once
+/// quiesced (writers joined — thread-exit hooks fold residuals — or
+/// FlushLocal() called), the snapshot equals the sequential sketch fed the
+/// same stream; for partition-independent merges (HLL max, Count-Min sum,
+/// Bloom OR) it is byte-identical.
 
 namespace gems {
 
@@ -82,49 +87,27 @@ class ConcurrentSummary {
     size_t buffer_items = 4096;
     /// Writer slots. 0 picks 2x the hardware concurrency, clamped to
     /// [kMinSlots, kMaxSlots]. Threads beyond the slot count fall back to
-    /// a (correct, slower) locked path on the global.
+    /// a (correct, slower) locked path on the shared summary.
     size_t max_threads = 0;
-    /// Fold the local sketch into the global once this many items have
-    /// accumulated in it; 0 means "every buffer drain". Together with the
-    /// buffer this bounds staleness: a query can miss at most
-    /// max_pending_items + buffer_items per live writer thread.
+    /// Fold the local sketch into the shared summary once this many items
+    /// have accumulated in it; 0 means "every buffer drain". Together with
+    /// the buffer this bounds staleness: a query can miss at most
+    /// max_pending_items + buffer_items per live writer thread. Slotless
+    /// single items queue until this many are waiting.
     size_t propagate_items = 0;
     /// Hard cap on unfolded local items: below it a writer uses try_lock
     /// and keeps going if the fold mutex is busy; at the cap it waits.
     /// 0 means 8x propagate_items.
     size_t max_pending_items = 0;
-    /// When true, writers only fold (merge) and a background propagator
-    /// thread republishes the global for readers on a fixed cadence —
-    /// useful when S is large (Bloom, wide Count-Min) and the per-fold
-    /// publish copy would dominate. When false (default), every fold
-    /// publishes inline.
-    bool background_publisher = false;
-    /// Republish cadence of the background propagator.
-    std::chrono::microseconds publish_interval{200};
   };
 
   static constexpr size_t kMinSlots = 8;
   static constexpr size_t kMaxSlots = 256;
 
-  /// All sketches (global, published copies, per-thread locals) start as
-  /// copies of `prototype`, so folds are merge-compatible by construction.
+  /// All sketches (both shared copies, per-thread locals) start as copies
+  /// of `prototype`, so folds are merge-compatible by construction.
   explicit ConcurrentSummary(const S& prototype, Options options = Options{})
-      : shared_(std::make_shared<Shared>(prototype, Resolve(options))) {
-    if (shared_->options.background_publisher) {
-      publisher_ = std::thread([shared = shared_] { PublisherLoop(*shared); });
-    }
-  }
-
-  ~ConcurrentSummary() {
-    if (publisher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(shared_->fold_mutex);
-        shared_->stop_publisher = true;
-      }
-      shared_->publisher_cv.notify_all();
-      publisher_.join();
-    }
-  }
+      : shared_(std::make_shared<Shared>(prototype, Resolve(options))) {}
 
   ConcurrentSummary(const ConcurrentSummary&) = delete;
   ConcurrentSummary& operator=(const ConcurrentSummary&) = delete;
@@ -164,9 +147,12 @@ class ConcurrentSummary {
     Shared& sh = *shared_;
     Local* local = AcquireLocal(sh);
     if (local == nullptr) {
+      // Runs once per copy, so the arguments are passed as lvalues.
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
-      sh.global.Update(std::forward<Args>(args)...);
-      OverflowTick(sh, 1);
+      (void)Write(sh, [&](S& copy) {
+        copy.Update(args...);
+        return Status::Ok();
+      });
       return;
     }
     if (!local->buffer.empty()) DrainBuffer(*local);
@@ -205,22 +191,22 @@ class ConcurrentSummary {
     IngestSpan(keys);
   }
 
-  /// Drains the *calling thread's* buffered items and folds its local
-  /// sketch into the global, force-publishing the result. Gives the
-  /// calling thread read-your-writes; other threads' unfolded tails
+  /// Drains the *calling thread's* buffered items, folds its local sketch
+  /// into the shared summary, and applies any queued slotless items. Gives
+  /// the calling thread read-your-writes; other threads' unfolded tails
   /// remain subject to the staleness bound until they propagate or exit.
   void FlushLocal() const { FlushLocalFor(*shared_); }
 
   /// Wait-free point estimate: one atomic load of the value cached at the
-  /// last publication. Staleness is bounded as documented above.
+  /// last write. Staleness is bounded as documented above.
   double Estimate() const
     requires EstimableSummary<S>
   {
     return shared_->cached_estimate.load(std::memory_order_acquire);
   }
 
-  /// Interval estimate computed against the pinned published version —
-  /// no copy, no lock, any confidence level.
+  /// Interval estimate computed against the pinned active copy — no copy,
+  /// no lock, any confidence level.
   gems::Estimate EstimateWithBounds(double confidence = 0.95) const
     requires BoundedPointEstimableSummary<S>
   {
@@ -228,49 +214,50 @@ class ConcurrentSummary {
         [&](const S& s) { return s.EstimateWithBounds(confidence); });
   }
 
-  /// Runs `fn(const S&)` against the pinned published version and returns
-  /// its result — the general wait-free read (point queries on Count-Min,
+  /// Runs `fn(const S&)` against the pinned active copy and returns its
+  /// result — the general wait-free read (point queries on Count-Min,
   /// quantile probes, serialization, ...). `fn` must not retain the
-  /// reference past its return.
+  /// reference past its return, and must not write to this summary: a
+  /// write waits for the active copy's readers, `fn` among them.
   template <typename Fn>
   auto Query(Fn&& fn) const {
-    return shared_->published.Read(std::forward<Fn>(fn));
+    return shared_->copies.Read(std::forward<Fn>(fn));
   }
 
-  /// Publication version: advances once per propagation. Monotone; usable
-  /// as a staleness probe ("has anything landed since I last looked").
-  uint64_t epoch() const { return shared_->published.epoch(); }
+  /// Publication version: advances once per successful write. Monotone;
+  /// usable as a staleness probe ("has anything landed since I last
+  /// looked").
+  uint64_t epoch() const { return shared_->copies.epoch(); }
 
-  /// Applies `fn(S&)` to the global under the fold mutex and republishes
-  /// on success — the entry point for folding *externally built* deltas
-  /// (a deserialized peer sketch, restored checkpoint state) into a live
-  /// summary, which is how the gemsd MERGE and RESTORE paths land. Unlike
-  /// writer folds, a failure here is the caller's to handle (e.g. a
-  /// parameter-mismatched merge): it is returned, never latched into the
-  /// summary's error state, and nothing is published.
+  /// Applies `fn(S&) -> Status` to the shared summary under the fold
+  /// mutex — the entry point for folding *externally built* deltas (a
+  /// deserialized peer sketch, restored checkpoint state) into a live
+  /// summary, which is how the gemsd UPDATE, MERGE and RESTORE paths land.
+  /// Readers see the result once this returns. `fn` runs once per copy
+  /// (see EpochPublished::Write): it must be deterministic in the copy's
+  /// state and must not consume what it captures. Unlike writer folds, a
+  /// failure here is the caller's to handle (e.g. a parameter-mismatched
+  /// merge): it is returned, never latched into the summary's error state,
+  /// and the epoch does not move.
   template <typename Fn>
   Status FoldExternal(Fn&& fn) {
     Shared& sh = *shared_;
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
-    if (Status s = fn(sh.global); !s.ok()) return s;
-    sh.folds += 1;
-    // Force even under a background publisher: once the fold is acked the
-    // merged state must be visible to readers.
-    ForcePublish(sh);
-    return Status::Ok();
+    return Write(sh, fn);
   }
 
-  /// Folds a whole summary of the same shape into the global — the
-  /// concrete-type convenience over FoldExternal.
+  /// Folds a whole summary of the same shape into the shared summary —
+  /// the concrete-type convenience over FoldExternal.
   Status MergeDelta(const S& delta) {
-    return FoldExternal([&](S& global) { return global.Merge(delta); });
+    return FoldExternal([&](S& copy) { return copy.Merge(delta); });
   }
 
   /// Consistent snapshot (old API): folds the calling thread's residual
-  /// state, then copies the published version under a pin. Never blocks
-  /// writers; concurrent snapshots are monotone in epoch. A fold error
-  /// (only possible for summaries whose Merge has data-dependent
-  /// preconditions) is propagated here rather than aborting.
+  /// state and the queued slotless items, then copies the active version
+  /// under a pin. Never blocks writers; concurrent snapshots are monotone
+  /// in epoch. A fold error (only possible for summaries whose Merge has
+  /// data-dependent preconditions) is propagated here rather than
+  /// aborting.
   Result<S> Snapshot() const {
     Shared& sh = *shared_;
     FlushLocalFor(sh);
@@ -278,18 +265,7 @@ class ConcurrentSummary {
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
       return sh.first_error;
     }
-    {
-      // The published copy may lag the newest global state — a cadenced
-      // background publisher between wakeups, or sub-threshold overflow
-      // updates; catch up here so a quiesced Snapshot is always complete.
-      // (Estimate/Query stay wait-free; Snapshot was always allowed a
-      // brief fold-lock.)
-      std::lock_guard<std::mutex> lock(sh.fold_mutex);
-      if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
-        ForcePublish(sh);
-      }
-    }
-    return sh.published.Read([](const S& s) { return Result<S>(s); });
+    return sh.copies.Read([](const S& s) { return Result<S>(s); });
   }
 
  private:
@@ -309,16 +285,15 @@ class ConcurrentSummary {
     Local local;
   };
 
-  /// Everything the instance, its writer threads, and the optional
-  /// background propagator share. Held by shared_ptr so a thread-exit
-  /// hook can run safely even while the wrapper itself is being torn
-  /// down elsewhere (the hook locks a weak_ptr).
+  /// Everything the instance and its writer threads share. Held by
+  /// shared_ptr so a thread-exit hook can run safely even while the
+  /// wrapper itself is being torn down elsewhere (the hook locks a
+  /// weak_ptr).
   struct Shared {
     Shared(const S& proto, Options opts)
         : options(opts),
           prototype(proto),
-          global(proto),
-          published(proto),
+          copies(proto),
           instance_id(concurrent_internal::NextInstanceId()) {
       slots.reserve(options.max_threads);
       for (size_t i = 0; i < options.max_threads; ++i) {
@@ -333,17 +308,12 @@ class ConcurrentSummary {
     const S prototype;  // Delta resets copy from this; never mutated.
     std::vector<std::unique_ptr<Slot>> slots;
 
-    // Fold state, guarded by fold_mutex.
+    // Write state, guarded by fold_mutex (`copies` is written only under
+    // it and read wait-free).
     std::mutex fold_mutex;
-    S global;
-    uint64_t folds = 0;            // Total folds into `global`.
-    uint64_t published_folds = 0;  // Folds included in `published`.
-    size_t overflow_pending = 0;   // Slotless updates since last publish.
+    std::vector<BufferItem> overflow;  // Queued slotless single items.
     Status first_error = Status::Ok();
-    bool stop_publisher = false;
-
-    std::condition_variable publisher_cv;
-    EpochPublished<S> published;
+    EpochPublished<S> copies;
     std::atomic<double> cached_estimate{0.0};
     std::atomic<bool> has_error{false};
     const uint64_t instance_id;
@@ -412,7 +382,6 @@ class ConcurrentSummary {
     if (local.pending > 0) {
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
       Fold(sh, local);
-      PublishLocked(sh);
     }
     local.sketch.reset();
     local.buffer.clear();
@@ -426,8 +395,10 @@ class ConcurrentSummary {
     Local* local = AcquireLocal(sh);
     if (local == nullptr) {
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
-      ApplySpan(sh.global, items);
-      OverflowTick(sh, items.size());
+      (void)Write(sh, [&](S& copy) {
+        ApplySpan(copy, items);
+        return Status::Ok();
+      });
       return;
     }
     if (!local->buffer.empty()) DrainBuffer(*local);
@@ -454,20 +425,25 @@ class ConcurrentSummary {
     local.buffer.clear();
   }
 
-  /// Slotless single-item fallback, called with no slot available. Still
-  /// correct — it updates the global directly under the fold mutex — and
-  /// its publishes are throttled so readers keep seeing progress.
+  /// Slotless single-item fallback, called with no slot available. The
+  /// item queues under the fold mutex and lands with the next
+  /// propagate_items of them (or at the next Snapshot/FlushLocal), so a
+  /// slotless writer pays one write per batch, not per item.
   void OverflowApply(Shared& sh, BufferItem item) {
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
-    const BufferItem one[1] = {item};
-    ApplySpan(sh.global, std::span<const BufferItem>(one));
-    OverflowTick(sh, 1);
+    sh.overflow.push_back(item);
+    if (sh.overflow.size() >= sh.options.propagate_items) DrainOverflow(sh);
   }
 
-  static void OverflowTick(Shared& sh, size_t items) {
-    sh.overflow_pending += items;
-    if (sh.overflow_pending >= sh.options.propagate_items) {
-      PublishLocked(sh);
+  /// Applies the queued slotless items. fold_mutex held.
+  static void DrainOverflow(Shared& sh) {
+    if constexpr (kBuffered) {
+      if (sh.overflow.empty()) return;
+      (void)Write(sh, [&](S& copy) {
+        ApplySpan(copy, std::span<const BufferItem>(sh.overflow));
+        return Status::Ok();
+      });
+      sh.overflow.clear();
     }
   }
 
@@ -479,78 +455,54 @@ class ConcurrentSummary {
       std::unique_lock<std::mutex> lock(sh.fold_mutex, std::try_to_lock);
       if (!lock.owns_lock()) return;  // Busy: keep accumulating locally.
       Fold(sh, local);
-      PublishLocked(sh);
     } else {
       // Hard staleness cap reached: this is the one place a writer waits.
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
       Fold(sh, local);
-      PublishLocked(sh);
     }
   }
 
-  /// Merges the local delta into the global and resets it. fold_mutex held.
+  /// Merges the local delta into the shared summary and resets it; a
+  /// refused merge is latched for Snapshot. fold_mutex held.
   static void Fold(Shared& sh, Local& local) {
-    if (Status s = sh.global.Merge(*local.sketch); !s.ok()) {
+    const S& delta = *local.sketch;
+    if (Status s = Write(sh, [&](S& copy) { return copy.Merge(delta); });
+        !s.ok()) {
       if (sh.first_error.ok()) sh.first_error = s;
       sh.has_error.store(true, std::memory_order_release);
     }
     *local.sketch = sh.prototype;
     local.pending = 0;
-    sh.folds += 1;
   }
 
-  /// Republishes the global for readers (unless the background propagator
-  /// owns publication). fold_mutex held.
-  static void PublishLocked(Shared& sh) {
-    if (sh.options.background_publisher) {
-      sh.publisher_cv.notify_one();
-      return;
-    }
-    ForcePublish(sh);
-  }
-
-  static void ForcePublish(Shared& sh) {
-    sh.published.Publish([&](S& out) { out = sh.global; });
-    sh.published_folds = sh.folds;
-    sh.overflow_pending = 0;
+  /// The one write path: applies `fn` to both copies (EpochPublished::
+  /// Write) and refreshes the cached estimate. fold_mutex held.
+  template <typename Fn>
+  static Status Write(Shared& sh, Fn&& fn) {
+    Status s = sh.copies.Write(fn);
     if constexpr (EstimableSummary<S>) {
-      sh.cached_estimate.store(sh.global.Estimate(),
-                               std::memory_order_release);
-    }
-  }
-
-  /// The background propagator: decouples the publish copy from writer
-  /// folds. Wakes on its cadence (or a fold notification) and republishes
-  /// when the global moved.
-  static void PublisherLoop(Shared& sh) {
-    std::unique_lock<std::mutex> lock(sh.fold_mutex);
-    while (!sh.stop_publisher) {
-      sh.publisher_cv.wait_for(lock, sh.options.publish_interval);
-      if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
-        ForcePublish(sh);
+      if (s.ok()) {
+        sh.cached_estimate.store(
+            sh.copies.Read([](const S& copy) { return copy.Estimate(); }),
+            std::memory_order_release);
       }
     }
-    // Final publish so a quiesced teardown leaves readers-of-record (e.g.
-    // a last Snapshot before destruction) the complete state.
-    if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
-      ForcePublish(sh);
-    }
+    return s;
   }
 
   static void FlushLocalFor(Shared& sh) {
-    void* slot_ptr = concurrent_internal::TlsSlotRegistry::This().Find(
-        sh.instance_id);
-    if (slot_ptr == nullptr) return;
-    Local& local = static_cast<Slot*>(slot_ptr)->local;
-    if (!local.buffer.empty()) DrainBuffer(local);
-    if (local.pending == 0) return;
+    Local* local = nullptr;
+    if (void* slot = concurrent_internal::TlsSlotRegistry::This().Find(
+            sh.instance_id)) {
+      local = &static_cast<Slot*>(slot)->local;
+      if (!local->buffer.empty()) DrainBuffer(*local);
+    }
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
-    Fold(sh, local);
-    ForcePublish(sh);  // Force even under a background publisher.
+    if (local != nullptr && local->pending > 0) Fold(sh, *local);
+    DrainOverflow(sh);
   }
 
   std::shared_ptr<Shared> shared_;
-  std::thread publisher_;
 };
 
 }  // namespace gems

@@ -17,7 +17,7 @@ constexpr uint8_t kCheckpointVersion = 1;
 constexpr uint64_t kShardSeed = 0x6765'6D73'6421ULL;  // "gemsd!"
 constexpr uint32_t kDefaultListLimit = 64;
 
-/// Builds a live wrapper whose global state is `state`. The wrapper is
+/// Builds a live wrapper whose state is `state`. The wrapper is
 /// created from a *default* prototype of the same type and the state is
 /// folded in via Reset: seeding the prototype with the state itself
 /// would copy it into every writer-slot delta and double-count on fold.

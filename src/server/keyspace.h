@@ -28,10 +28,10 @@
 /// ConcurrentAnySketch's own (wait-free published reads, folded writes).
 /// Only CREATE/DROP/RESTORE take a shard lock exclusive.
 ///
-/// Ack-visibility: Update() routes through ApplyBatch, which folds into
-/// the sketch's global state and publishes before returning — once the
-/// server acks an UPDATE, every subsequent QUERY on any connection sees
-/// those items. Queries never take the fold lock (epoch-published reads),
+/// Ack-visibility: Update() routes through ApplyBatch, which applies the
+/// items to both copies of the sketch before returning — once the server
+/// acks an UPDATE, every subsequent QUERY on any connection sees those
+/// items. Queries never take the fold lock (epoch-published reads),
 /// so a hot writer cannot stall readers.
 
 namespace gems {

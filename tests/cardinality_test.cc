@@ -3,6 +3,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "cardinality/flajolet_martin.h"
 #include "cardinality/hllpp.h"
@@ -457,6 +458,32 @@ TEST(HllPlusPlusTest, DenseSketchAndItsCopiesHoldNoSparseBuckets) {
       EXPECT_EQ(copy.Serialize(), sketch->Serialize());
     }
   }
+}
+
+TEST(HllPlusPlusTest, SparseSketchAndItsCopyHoldNoDenseRegisters) {
+  // The 2^p dense registers are allocated only on conversion, so a sparse
+  // sketch and its copy hold about MemoryBytes() of heap, not 16 KB.
+  constexpr int kP = 14;
+  constexpr size_t kSketches = 64;
+  std::vector<HllPlusPlus> sketches;
+  sketches.reserve(2 * kSketches);
+  const size_t before = mallinfo2().uordblks;
+  for (size_t i = 0; i < kSketches; ++i) {
+    HllPlusPlus& sparse = sketches.emplace_back(kP, 9);
+    sparse.Update(i);
+    sketches.push_back(sparse);
+  }
+  const size_t per_sketch = (mallinfo2().uordblks - before) / sketches.size();
+  for (const HllPlusPlus& sketch : sketches) ASSERT_TRUE(sketch.IsSparse());
+  const size_t reported = sketches.front().MemoryBytes();
+  EXPECT_LE(per_sketch, reported + 128) << "reported " << reported;
+  EXPECT_LT(per_sketch, size_t{1} << kP) << "reported " << reported;
+  // Converting allocates the registers; the estimate is unchanged.
+  HllPlusPlus dense = sketches.front();
+  const double sparse_estimate = dense.Estimate();
+  dense.ConvertToDense();
+  EXPECT_GE(dense.MemoryBytes(), size_t{1} << kP);
+  EXPECT_NEAR(dense.Estimate(), sparse_estimate, 0.01);
 }
 
 TEST(HllPlusPlusTest, MergeSparseSparse) {

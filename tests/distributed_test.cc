@@ -2,12 +2,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cardinality/hllpp.h"
 #include "cardinality/hyperloglog.h"
 #include "cardinality/kmv.h"
 #include "common/numeric.h"
@@ -23,6 +26,7 @@
 #include "frequency/misra_gries.h"
 #include "membership/bloom.h"
 #include "quantiles/kll.h"
+#include "server/keyspace.h"
 #include "workload/baselines.h"
 #include "workload/generators.h"
 
@@ -435,22 +439,228 @@ TEST(ConcurrentSummaryTest, ValueSummariesBufferDoubles) {
   EXPECT_NEAR(snapshot.value().Quantile(0.5), 5000.0, 500.0);
 }
 
-TEST(ConcurrentSummaryTest, BackgroundPublisherDecouplesPublishes) {
-  // With a cadenced background propagator, writers only fold; readers
-  // still converge, and a quiesced Snapshot catches up the publication.
-  ConcurrentSummary<HyperLogLog> concurrent(
-      HyperLogLog(12, 30),
-      {.buffer_items = 512,
-       .background_publisher = true,
-       .publish_interval = std::chrono::microseconds(100)});
-  constexpr uint64_t kItems = 100000;
-  std::thread writer([&concurrent] {
-    for (uint64_t item : DistinctItems(kItems, 31)) concurrent.Update(item);
+// Serializes the active copy, flips the epoch with a no-op write, and
+// serializes the other copy: the two copies must be byte-identical.
+template <typename Live>
+void ExpectCopiesIdentical(Live& live, const std::function<Status()>& noop) {
+  live.FlushLocal();
+  const uint64_t e = live.epoch();
+  auto first = live.Snapshot();
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(live.epoch(), e);
+  ASSERT_TRUE(noop().ok());
+  ASSERT_EQ(live.epoch(), e + 1);
+  auto second = live.Snapshot();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value().Serialize(), second.value().Serialize());
+}
+
+template <typename S>
+void ExpectCopiesIdentical(ConcurrentSummary<S>& live) {
+  ExpectCopiesIdentical(
+      live, [&] { return live.FoldExternal([](S&) { return Status::Ok(); }); });
+}
+
+void ExpectCopiesIdentical(ConcurrentAnySketch& live) {
+  ExpectCopiesIdentical(live, [&] { return live.ApplyBatch({}); });
+}
+
+TEST(ConcurrentSummaryTest, WritesKeepBothCopiesByteIdentical) {
+  // Every write runs once per copy; after each kind of write the copy it
+  // was applied to first and the copy it was replayed on must agree.
+  const auto items = DistinctItems(20000, 30);
+  const std::span<const uint64_t> span(items);
+  ConcurrentSummary<HyperLogLog> hll(HyperLogLog(12, 31),
+                                     {.buffer_items = 512, .max_threads = 1});
+  for (uint64_t item : span.first(3000)) hll.Update(item);  // Slot folds.
+  ExpectCopiesIdentical(hll);
+  hll.UpdateBatch(span.subspan(3000, 3000));
+  ExpectCopiesIdentical(hll);
+  HyperLogLog delta(12, 31);
+  delta.UpdateBatch(span.subspan(6000, 3000));
+  ASSERT_TRUE(hll.MergeDelta(delta).ok());
+  ExpectCopiesIdentical(hll);
+  // The only slot is taken, so another thread takes the overflow paths:
+  // queued single items and direct batches.
+  std::thread overflow([&] {
+    for (uint64_t item : span.subspan(9000, 1000)) hll.Update(item);
+    hll.UpdateBatch(span.subspan(10000, 3000));
   });
-  writer.join();
-  EXPECT_NEAR(concurrent.Snapshot().value().Estimate(), kItems, 0.05 * kItems);
-  // The forced publish also refreshed the cached wait-free estimate.
-  EXPECT_NEAR(concurrent.Estimate(), kItems, 0.05 * kItems);
+  overflow.join();
+  ExpectCopiesIdentical(hll);
+  HyperLogLog all(12, 31);
+  all.UpdateBatch(span.first(13000));
+  EXPECT_EQ(hll.Snapshot().value().Serialize(), all.Serialize());
+  EXPECT_DOUBLE_EQ(hll.Estimate(), all.Estimate());
+
+  // KLL compacts with its own RNG; the replay must draw the same bits, or
+  // the copies drift apart at a later compaction.
+  ConcurrentSummary<KllSketch> kll(KllSketch(64, 32), {.buffer_items = 256});
+  for (int round = 0; round < 8; ++round) {
+    std::vector<double> values;
+    for (int i = 0; i < 3000; ++i) values.push_back(round * 3000.0 + i);
+    for (double v : std::span<const double>(values).first(1000)) {
+      kll.Update(v);
+    }
+    kll.UpdateBatch(std::span<const double>(values).subspan(1000, 1000));
+    KllSketch peer(64, 33 + round);
+    peer.UpdateBatch(std::span<const double>(values).subspan(2000));
+    ASSERT_TRUE(kll.MergeDelta(peer).ok());
+    ExpectCopiesIdentical(kll);
+  }
+  EXPECT_EQ(kll.Snapshot().value().Count(), 24000u);
+}
+
+TEST(ConcurrentAnySketchTest, WritesKeepBothCopiesByteIdentical) {
+  RegisterBuiltinSketches();
+  const auto items = DistinctItems(60000, 34);
+  const std::span<const uint64_t> span(items);
+  TimedSketchParams window;
+  window.pane_width = 100;
+  window.num_panes = 4;
+  for (const char* name : {"hllpp", "count_min", "sliding_hyperloglog"}) {
+    SCOPED_TRACE(name);
+    const bool timed = std::string(name) == "sliding_hyperloglog";
+    auto made = timed ? ConcurrentAnySketch::MakeTimedByName(name, window)
+                      : ConcurrentAnySketch::MakeByName(name);
+    ASSERT_TRUE(made.ok());
+    ConcurrentAnySketch& live = made.value();
+    // The first writes leave the shared prototype state; later ones
+    // replay on the former active copy.
+    for (size_t off = 0; off < 8000; off += 2000) {
+      ASSERT_TRUE(live.ApplyBatch(span.subspan(off, 2000)).ok());
+      ExpectCopiesIdentical(live);
+    }
+    std::vector<uint64_t> timestamps(4000);
+    for (size_t i = 0; i < timestamps.size(); ++i) timestamps[i] = i / 10;
+    ASSERT_TRUE(
+        live.ApplyBatchTimed(timestamps, span.subspan(8000, 4000)).ok());
+    ExpectCopiesIdentical(live);
+    if (timed) {
+      ASSERT_TRUE(live.Advance(450).ok());
+      ExpectCopiesIdentical(live);
+    }
+    live.UpdateBatch(span.subspan(12000, 4000));  // Slot path.
+    ExpectCopiesIdentical(live);
+    AnySketch peer = live.Snapshot().value();
+    ASSERT_TRUE(peer.UpdateBatch(span.subspan(16000, 4000)).ok());
+    ASSERT_TRUE(live.Merge(peer).ok());
+    ExpectCopiesIdentical(live);
+    const std::vector<uint8_t> bytes = peer.Serialize();
+    Result<AnySketchView> view =
+        SketchRegistry::Global().Wrap(ByteSpan(bytes));
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(live.MergeFromView(view.value().sketch_view()).ok());
+    ExpectCopiesIdentical(live);
+    // Reset runs its write on both copies too: a moved-from state would
+    // leave the second copy empty.
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(live.ApplyBatch(span.subspan(20000 + i * 100, 100)).ok());
+    }
+    ASSERT_TRUE(live.Reset(peer).ok());
+    ExpectCopiesIdentical(live);
+    EXPECT_EQ(live.Snapshot().value().Serialize(), bytes);
+  }
+}
+
+TEST(ConcurrentSummaryTest, RefusedWriteLeavesEpochAndCopiesUnchanged) {
+  CountMinSketch heavy(64, 4, 9);
+  heavy.Update(7, INT64_MAX / 2 + 1);
+  const std::vector<uint8_t> bytes = heavy.Serialize();
+  ConcurrentSummary<CountMinSketch> live(CountMinSketch(64, 4, 9));
+  ASSERT_TRUE(live.MergeDelta(heavy).ok());
+  const uint64_t e = live.epoch();
+  // A second merge wraps the total weight: refused before any counter
+  // moves.
+  EXPECT_EQ(live.MergeDelta(heavy).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(live.epoch(), e);
+  // A write that mutates and then refuses: the standby is re-synced.
+  EXPECT_EQ(live.FoldExternal([](CountMinSketch& copy) {
+                  copy.Update(1, 5);
+                  return Status::InvalidArgument("refused after a write");
+                })
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(live.epoch(), e);
+  EXPECT_EQ(live.Snapshot().value().Serialize(), bytes);
+  ExpectCopiesIdentical(live);
+  EXPECT_EQ(live.Snapshot().value().Serialize(), bytes);
+}
+
+TEST(ConcurrentAnySketchTest, ApplyBatchMutatesInPlace) {
+  // Once both copies own their state, a write mutates each in place: the
+  // active copy's sketch has the same address two epochs later, and it
+  // shares its state with no other handle (a copy-on-write clone per write
+  // would leave it shared with the state the next write clones from).
+  RegisterBuiltinSketches();
+  auto made = ConcurrentAnySketch::MakeByName("hllpp");
+  ASSERT_TRUE(made.ok());
+  ConcurrentAnySketch& live = made.value();
+  const auto items = DistinctItems(40000, 35);
+  const std::span<const uint64_t> span(items);
+  auto address = [&] {
+    return live.Query([](const AnySketch& s) {
+      return static_cast<const void*>(s.As<HllPlusPlus>());
+    });
+  };
+  ASSERT_TRUE(live.ApplyBatch(span.first(64)).ok());
+  ASSERT_TRUE(live.ApplyBatch(span.subspan(64, 64)).ok());
+  for (size_t off = 128; off + 128 <= span.size(); off += 128) {
+    const uint64_t e = live.epoch();
+    const void* before = address();
+    ASSERT_NE(before, nullptr);
+    ASSERT_TRUE(live.ApplyBatch(span.subspan(off, 64)).ok());
+    ASSERT_TRUE(live.ApplyBatch(span.subspan(off + 64, 64)).ok());
+    ASSERT_EQ(live.epoch(), e + 2);
+    ASSERT_EQ(address(), before);
+    ASSERT_FALSE(
+        live.Query([](const AnySketch& s) { return s.shares_state(); }));
+  }
+  const HllPlusPlus* hll = live.Snapshot().value().As<HllPlusPlus>();
+  ASSERT_NE(hll, nullptr);
+  EXPECT_FALSE(hll->IsSparse());
+}
+
+TEST(ConcurrentAnySketchTest, RestoreThenUpdatesMatchesLiveKeyspace) {
+  // A restored key's two copies share the checkpointed state; the UPDATEs
+  // after it must land exactly as they do on the keyspace it came from.
+  RegisterBuiltinSketches();
+  server::Keyspace original;
+  TimedSketchParams window;
+  window.pane_width = 50;
+  window.num_panes = 4;
+  ASSERT_TRUE(original.Create("reach", "hllpp").ok());
+  ASSERT_TRUE(original.Create("flows", "count_min").ok());
+  ASSERT_TRUE(original.Create("recent", "sliding_hyperloglog", window).ok());
+  const auto items = DistinctItems(30000, 36);
+  const std::span<const uint64_t> span(items);
+  std::vector<uint64_t> timestamps(span.size());
+  for (size_t i = 0; i < timestamps.size(); ++i) timestamps[i] = i / 100;
+  const std::span<const uint64_t> ts(timestamps);
+  auto update = [&](server::Keyspace& keyspace, size_t off, size_t n) {
+    ASSERT_TRUE(keyspace.Update("reach", span.subspan(off, n)).ok());
+    ASSERT_TRUE(keyspace.Update("flows", span.subspan(off, n)).ok());
+    ASSERT_TRUE(keyspace
+                    .Update("recent", span.subspan(off, n), ts.subspan(off, n))
+                    .ok());
+  };
+  auto checkpoint = [](const server::Keyspace& keyspace) {
+    std::vector<uint8_t> image;
+    ByteSink sink(&image);
+    EXPECT_TRUE(keyspace.Checkpoint(sink).ok());
+    return image;
+  };
+  for (size_t off = 0; off < 10000; off += 1000) update(original, off, 1000);
+  const std::vector<uint8_t> image = checkpoint(original);
+  server::Keyspace restored;
+  ASSERT_TRUE(restored.Restore(ByteSpan(image)).ok());
+  EXPECT_EQ(checkpoint(restored), image);
+  for (size_t off = 10000; off < span.size(); off += 64) {
+    const size_t n = std::min<size_t>(64, span.size() - off);
+    update(original, off, n);
+    update(restored, off, n);
+  }
+  EXPECT_EQ(checkpoint(restored), checkpoint(original));
 }
 
 TEST(ConcurrentAnySketchTest, TypeErasedConcurrentMatchesSequential) {

@@ -75,7 +75,6 @@
 #include "quantiles/mrl.h"
 #include "quantiles/req.h"
 #include "quantiles/tdigest.h"
-#include "moments/ams.h"
 #include "sampling/reservoir.h"
 #include "similarity/minhash.h"
 #include "simd/dispatch.h"
@@ -567,12 +566,12 @@ struct SimdRow {
   double batched_ingest_speedup;  // batched_simd / per_item
 };
 
-template <typename Make, typename PerItem, typename Batch>
-SimdRow CompareSimd(const char* name, const std::vector<uint64_t>& items,
-                    Make make, PerItem per_item, Batch batch) {
+template <typename T, typename Make, typename PerItem, typename Batch>
+SimdRow CompareSimd(const char* name, const std::vector<T>& items, Make make,
+                    PerItem per_item, Batch batch) {
   const auto run_batched = [&] {
     auto sketch = make();
-    std::span<const uint64_t> span(items);
+    std::span<const T> span(items);
     for (size_t off = 0; off < span.size(); off += kChunk) {
       batch(sketch, span.subspan(off, std::min(kChunk, span.size() - off)));
     }
@@ -581,7 +580,7 @@ SimdRow CompareSimd(const char* name, const std::vector<uint64_t>& items,
   gems::simd::ForceScalarForTesting(true);
   const double seq = BestSeconds([&] {
     auto sketch = make();
-    for (uint64_t item : items) per_item(sketch, item);
+    for (T item : items) per_item(sketch, item);
     benchmark::DoNotOptimize(sketch);
   });
   const double scalar = BestSeconds(run_batched);
@@ -639,13 +638,16 @@ int RunSimdComparison(const std::string& json_path, size_t num_items) {
       [](gems::MinHashSketch& s, std::span<const uint64_t> b) {
         s.UpdateBatch(b);
       }));
-  // AMS's batch path is pure field arithmetic with no vector kernel, so
-  // its row is the ~1.0x simd_speedup control: it shows what the harness
-  // reports when dispatch genuinely does not matter.
+  // KLL's batch path calls no kernel-table entry, so its row is the ~1.0x
+  // simd_speedup control: it shows what the harness reports when dispatch
+  // does not matter.
+  std::vector<double> values;
+  values.reserve(zipf.size());
+  for (uint64_t item : zipf) values.push_back(static_cast<double>(item));
   rows.push_back(CompareSimd(
-      "ams", zipf, [] { return gems::AmsSketch(16, 5, 1); },
-      [](gems::AmsSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::AmsSketch& s, std::span<const uint64_t> b) {
+      "kll", values, [] { return gems::KllSketch(200, 1); },
+      [](gems::KllSketch& s, double v) { s.Update(v); },
+      [](gems::KllSketch& s, std::span<const double> b) {
         s.UpdateBatch(b);
       }));
 

@@ -70,7 +70,7 @@ void HyperLogLog::UpdateBatch(std::span<const uint64_t> items) {
   // hll_update_hashes over the mixed hash words, so both paths are
   // bit-identical.
   constexpr size_t kPrefetchMinRegisters = size_t{1} << 17;
-  if (PrefetchEnabled() && registers_.size() >= kPrefetchMinRegisters) {
+  if (registers_.size() >= kPrefetchMinRegisters) {
     const int shift = 64 - precision_;
     uint64_t hashes[256];
     while (!items.empty()) {

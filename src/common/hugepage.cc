@@ -9,8 +9,6 @@
 #include <sys/mman.h>
 #endif
 
-#include "common/prefetch.h"
-
 namespace gems {
 namespace {
 
@@ -95,10 +93,9 @@ std::string LayoutJson() {
   const HugePageStats stats = GetHugePageStats();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"prefetch\": %s, \"hugepages_enabled\": %s, "
+                "{\"hugepages_enabled\": %s, "
                 "\"hugepage_granted\": %llu, \"hugepage_denied\": %llu, "
                 "\"hugepage_fallback_small\": %llu}",
-                PrefetchEnabled() ? "true" : "false",
                 HugePagesEnabled() ? "true" : "false",
                 static_cast<unsigned long long>(stats.granted),
                 static_cast<unsigned long long>(stats.denied),

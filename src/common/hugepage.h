@@ -81,8 +81,8 @@ class HugePageAllocator {
 template <typename T>
 using HugeVector = std::vector<T, HugePageAllocator<T>>;
 
-/// Memory-layout provenance for bench JSON: prefetch on/off and the
-/// hugepage grant/deny counters, alongside simd::DispatchJson().
+/// Memory-layout provenance for bench JSON: the hugepage switch and
+/// grant/deny counters, alongside simd::DispatchJson().
 std::string LayoutJson();
 
 }  // namespace gems

@@ -1,24 +1,12 @@
 #ifndef GEMS_COMMON_PREFETCH_H_
 #define GEMS_COMMON_PREFETCH_H_
 
-#include <cstdlib>
-
 namespace gems {
 
 /// Software prefetch for the two-phase (hash a run, touch its target
-/// lines, then update) batched sketch loops. GEMS_DISABLE_PREFETCH=1
-/// turns the sketch-layer prefetch passes off for A/B measurement; the
-/// flag is read once and cached, like GEMS_FORCE_SCALAR in the SIMD
-/// dispatcher.
-inline bool PrefetchEnabled() {
-  static const bool enabled = std::getenv("GEMS_DISABLE_PREFETCH") == nullptr;
-  return enabled;
-}
-
-inline void PrefetchForRead(const void* addr) {
-  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/1);
-}
-
+/// lines, then update) batched sketch loops. Each loop issues it only
+/// above its own size threshold, where the target array outgrows the
+/// caches.
 inline void PrefetchForWrite(const void* addr) {
   __builtin_prefetch(addr, /*rw=*/1, /*locality=*/1);
 }

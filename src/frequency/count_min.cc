@@ -18,22 +18,17 @@
 namespace gems {
 namespace {
 
+using simd::internal::BlockColsFor;
 using simd::internal::CmBlockCol;
+using simd::internal::CmBlockedAddOne;
 using simd::internal::CmBlockedMinOne;
+using simd::internal::ForEachBlock;
 using simd::internal::kCmBlockSlots;
 
 // Two-phase software prefetch in the flat batched loops only pays once a
 // row is big enough that its working set blows the caches — below this the
 // lines are resident anyway and the extra modulo pass is pure cost.
 constexpr size_t kPrefetchMinRowBytes = size_t{1} << 18;
-
-// Largest power-of-two column count per row that fits depth rows into one
-// 8-counter block (depth 1 -> 8, 2 -> 4, 3..4 -> 2, 5..8 -> 1).
-uint32_t BlockColsFor(uint32_t depth) {
-  uint32_t cols = 1;
-  while (cols * 2 * depth <= kCmBlockSlots) cols *= 2;
-  return cols;
-}
 
 }  // namespace
 
@@ -94,8 +89,8 @@ void CountMinSketch::Update(uint64_t item, int64_t weight) {
     const Hash128 h = Murmur3_128_U64(item, seed_);
     uint64_t* const block = &counters_[(h.low % num_blocks_) * kCmBlockSlots];
     if (!conservative_) {
-      simd::internal::CmBlockedAddOne(block, depth_, cols_, h.high,
-                                      static_cast<uint64_t>(weight));
+      CmBlockedAddOne(block, depth_, cols_, h.high,
+                      static_cast<uint64_t>(weight));
       return;
     }
     // Conservative raise inside the one block: estimate and raise both
@@ -189,7 +184,6 @@ void CountMinSketch::UpdateBatch(std::span<const uint64_t> items) {
     return;
   }
   const bool prefetch =
-      PrefetchEnabled() &&
       static_cast<size_t>(width_) * sizeof(uint64_t) >= kPrefetchMinRowBytes;
   const InvariantMod mod(width_);
   uint64_t hashes[256];
@@ -229,9 +223,11 @@ void CountMinSketch::UpdateBatch(std::span<const uint64_t> items,
       GEMS_CHECK(weights[i] >= 0);
       total_ += weights[i];
     }
-    kernels.cm_blocked_add_weighted(counters_.data(), num_blocks_, depth_,
-                                    cols_, seed_, items.data(), weights.data(),
-                                    items.size());
+    ForEachBlock(counters_.data(), num_blocks_, seed_, items,
+                 [&](uint64_t* block, uint64_t probe_bits, size_t i) {
+                   CmBlockedAddOne(block, depth_, cols_, probe_bits,
+                                   static_cast<uint64_t>(weights[i]));
+                 });
     return;
   }
   uint64_t hashes[256];
@@ -290,8 +286,10 @@ void CountMinSketch::EstimateBatch(std::span<const uint64_t> items,
   // kernel (gathers under AVX2). out[i] == Estimate(items[i]) exactly.
   const simd::SimdKernels& kernels = simd::Kernels();
   if (layout_ == SketchLayout::kBlocked) {
-    kernels.cm_blocked_min(counters_.data(), num_blocks_, depth_, cols_,
-                           seed_, items.data(), items.size(), out);
+    ForEachBlock(counters_.data(), num_blocks_, seed_, items,
+                 [&](const uint64_t* block, uint64_t probe_bits, size_t i) {
+                   out[i] = CmBlockedMinOne(block, depth_, cols_, probe_bits);
+                 });
     return;
   }
   uint64_t hashes[256];

@@ -17,20 +17,15 @@
 namespace gems {
 namespace {
 
+using simd::internal::BlockColsFor;
 using simd::internal::CmBlockCol;
+using simd::internal::CsBlockedAddOne;
 using simd::internal::CsBlockSign;
+using simd::internal::ForEachBlock;
 using simd::internal::kCmBlockSlots;
 
 // Same big-row gate as Count-Min's flat prefetch pass (see count_min.cc).
 constexpr size_t kPrefetchMinRowBytes = size_t{1} << 18;
-
-// Same column-count rule as blocked Count-Min: the largest power-of-two
-// per-row stripe that fits depth rows into one 8-counter block.
-uint32_t BlockColsFor(uint32_t depth) {
-  uint32_t cols = 1;
-  while (cols * 2 * depth <= kCmBlockSlots) cols *= 2;
-  return cols;
-}
 
 }  // namespace
 
@@ -67,9 +62,8 @@ int CountSketch::Sign(uint32_t row, uint64_t item) const {
 void CountSketch::Update(uint64_t item, int64_t weight) {
   if (layout_ == SketchLayout::kBlocked) {
     const Hash128 h = Murmur3_128_U64(item, seed_);
-    simd::internal::CsBlockedAddOne(
-        &counters_[(h.low % num_blocks_) * kCmBlockSlots], depth_, cols_,
-        h.high, weight);
+    CsBlockedAddOne(&counters_[(h.low % num_blocks_) * kCmBlockSlots], depth_,
+                    cols_, h.high, weight);
     return;
   }
   for (uint32_t row = 0; row < depth_; ++row) {
@@ -92,10 +86,13 @@ void CountSketch::UpdateBatchImpl(std::span<const uint64_t> items,
                                   const int64_t* weights) {
   const simd::SimdKernels& kernels = simd::Kernels();
   if (layout_ == SketchLayout::kBlocked) {
-    // One fused kernel pass: hash once per item, prefetch the single block,
-    // signed-update all depth_ rows inside it (nullptr weights = unit).
-    kernels.cs_blocked_add(counters_.data(), num_blocks_, depth_, cols_,
-                           seed_, items.data(), weights, items.size());
+    // One pass: hash once per item, prefetch the single block, signed-update
+    // all depth_ rows inside it (nullptr weights = unit).
+    ForEachBlock(counters_.data(), num_blocks_, seed_, items,
+                 [&](int64_t* block, uint64_t probe_bits, size_t i) {
+                   CsBlockedAddOne(block, depth_, cols_, probe_bits,
+                                   weights == nullptr ? 1 : weights[i]);
+                 });
     return;
   }
   // kFlat: chunked rows-outer kernel. Per chunk: reduce every key into the
@@ -103,11 +100,10 @@ void CountSketch::UpdateBatchImpl(std::span<const uint64_t> items,
   // row — bucket and sign), then each row evaluates its two polynomials
   // through the mod61_poly_eval kernel (exact, so the same words as
   // EvalReduced), strength-reduces the bucket modulo through a hoisted
-  // InvariantMod and streams the signed additions through cs_row_scatter.
-  // Counter additions commute (and wrap, like Update's), so the result is
+  // InvariantMod and streams the signed additions into the row. Counter
+  // additions commute (and wrap, like Update's), so the result is
   // byte-identical to sequential Update().
   const bool prefetch =
-      PrefetchEnabled() &&
       static_cast<size_t>(width_) * sizeof(int64_t) >= kPrefetchMinRowBytes;
   const InvariantMod mod(width_);
   uint64_t reduced[256];
@@ -142,7 +138,13 @@ void CountSketch::UpdateBatchImpl(std::span<const uint64_t> items,
         // free of extra hashing: issue the target lines, then scatter.
         for (size_t i = 0; i < n; ++i) PrefetchForWrite(row_ptr + buckets[i]);
       }
-      kernels.cs_row_scatter(row_ptr, buckets, signed_weights, n);
+      // Unsigned wrapping add: a counter near INT64_MAX wraps in two's
+      // complement instead of hitting signed-overflow UB.
+      for (size_t i = 0; i < n; ++i) {
+        row_ptr[buckets[i]] = static_cast<int64_t>(
+            static_cast<uint64_t>(row_ptr[buckets[i]]) +
+            static_cast<uint64_t>(signed_weights[i]));
+      }
     }
   }
 }

@@ -39,7 +39,7 @@
 #include "core/wire.h"
 
 // Memory layout and placement: counter-array layouts, hugepage-backed
-// storage, software-prefetch gating.
+// storage, software prefetch.
 #include "common/hugepage.h"
 #include "common/layout.h"
 #include "common/prefetch.h"

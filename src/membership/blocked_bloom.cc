@@ -73,7 +73,7 @@ Status BlockedBloomFilter::Merge(const BlockedBloomFilter& other) {
     return Status::InvalidArgument(
         "BlockedBloom merge requires identical shape and seed");
   }
-  simd::Kernels().u64_or(words_.data(), other.words_.data(), words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   return Status::Ok();
 }
 

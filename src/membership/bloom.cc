@@ -86,18 +86,25 @@ void BloomFilter::Insert(std::string_view key) {
 
 void BloomFilter::InsertBatch(std::span<const uint64_t> keys) {
   // Hash-once pipeline over small chunks: the Murmur batch kernel keeps
-  // 4-8 keys in flight, then the probe kernel streams the bit writes with
-  // the per-probe modulo strength-reduced (vector multiply-high under
-  // AVX2) instead of one hardware divide each. Bit indices are exactly
-  // those of Insert(), so the resulting filter is byte-identical.
-  const simd::SimdKernels& kernels = simd::Kernels();
+  // 4-8 keys in flight, then the probe loop streams the bit writes with
+  // the per-probe modulo strength-reduced instead of one hardware divide
+  // each. Bit indices are exactly those of Insert(), so the resulting
+  // filter is byte-identical.
+  const InvariantMod mod(num_bits_);
   uint64_t h1[256];
   uint64_t h2[256];
   while (!keys.empty()) {
     const size_t n = std::min(keys.size(), std::size(h1));
-    kernels.murmur3_batch_u64(keys.data(), n, seed_, h1, h2);
-    for (size_t i = 0; i < n; ++i) h2[i] |= 1;
-    kernels.bloom_insert(bits_.data(), num_bits_, num_hashes_, h1, h2, n);
+    simd::Kernels().murmur3_batch_u64(keys.data(), n, seed_, h1, h2);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t h = h1[i];
+      const uint64_t step = h2[i] | 1;
+      for (int j = 0; j < num_hashes_; ++j) {
+        const uint64_t bit = mod(h);
+        bits_[bit >> 6] |= uint64_t{1} << (bit & 63);
+        h += step;
+      }
+    }
     keys = keys.subspan(n);
   }
 }
@@ -163,7 +170,7 @@ Status BloomFilter::Merge(const BloomFilter& other) {
     return Status::InvalidArgument(
         "Bloom merge requires identical shape and seed");
   }
-  simd::Kernels().u64_or(bits_.data(), other.bits_.data(), bits_.size());
+  for (size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
   return Status::Ok();
 }
 

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "core/wire.h"
-#include "simd/dispatch.h"
 
 namespace gems {
 namespace {
@@ -89,11 +88,9 @@ void KllSketch::CompressIfNeeded() {
     }
     if (level + 1 == compactors_.size()) compactors_.emplace_back();
     std::vector<double>& current = compactors_[level];
-    // Level-buffer sort through the kernel table. Every variant points at
-    // the same implementation today (a vectorized unstable sort could
-    // permute -0.0/+0.0 differently and break serialized-byte identity),
-    // but the call site is the contract: compaction order is the kernel's.
-    simd::Kernels().sort_doubles(current.data(), current.size());
+    // std::sort is unstable, but it is deterministic for a given input,
+    // so the compacted bytes are reproducible.
+    std::sort(current.begin(), current.end());
     // Keep a random parity half; promote it with doubled weight.
     const size_t offset = rng_.NextU64() & 1;
     std::vector<double>& above = compactors_[level + 1];

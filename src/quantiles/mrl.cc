@@ -5,7 +5,6 @@
 
 #include "common/bits.h"
 #include "common/check.h"
-#include "simd/dispatch.h"
 
 namespace gems {
 
@@ -40,8 +39,7 @@ void MrlSketch::Update(double value) {
     if (buffer.weight == 0) {
       buffer.weight = 1;
       buffer.values = std::move(incoming_);
-      simd::Kernels().sort_doubles(buffer.values.data(),
-                                   buffer.values.size());
+      std::sort(buffer.values.begin(), buffer.values.end());
       incoming_.clear();
       incoming_.reserve(buffer_size_);
       return;

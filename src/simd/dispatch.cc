@@ -72,9 +72,6 @@ Selection Select() {
   if (avx512 != nullptr && CpuHasAvx512Subsets()) {
     s.table = avx512;
   }
-#elif defined(__aarch64__)
-  s.info.cpu_features = "neon";
-  s.table = NeonKernels();
 #endif
   if (ForceScalarFromEnv()) {
     s.info.forced_scalar = s.table != &ScalarKernels();

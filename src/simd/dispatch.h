@@ -8,7 +8,7 @@
 /// \file
 /// Startup kernel-table selection. The process picks one SimdKernels table
 /// exactly once — GEMS_FORCE_SCALAR wins, then the best table the CPU
-/// supports (AVX2 on x86-64, NEON on aarch64), else the scalar reference —
+/// supports (AVX-512, then AVX2, on x86-64), else the scalar reference —
 /// and every sketch hot loop calls through `Kernels()`. There is no other
 /// CPU-feature-detection path in the codebase.
 
@@ -16,7 +16,7 @@ namespace gems::simd {
 
 /// What dispatch decided at startup, for bench/caps attribution.
 struct DispatchInfo {
-  /// Selected table name: "scalar", "avx2", "neon".
+  /// Selected table name: "scalar", "avx2", "avx512".
   const char* level;
   /// Space-separated ISA features the CPU reports (x86 only; empty
   /// elsewhere). Attributes BENCH_*.json artifacts to hardware.

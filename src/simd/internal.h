@@ -3,15 +3,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 
 #include "common/random.h"
+#include "hash/hashed_batch.h"
+#include "hash/murmur3.h"
 
 /// \file
-/// Helpers shared by the kernel variant TUs (scalar / AVX2 / NEON). These
-/// define scalar sub-steps that every variant must reproduce exactly —
-/// keeping them in one header is what keeps the variants bit-identical by
-/// construction rather than by vigilance.
+/// Helpers shared by the kernel variant TUs (scalar / AVX2 / AVX-512) and
+/// the blocked-layout sketches. These define scalar sub-steps that every
+/// variant must reproduce exactly — keeping them in one header is what
+/// keeps the variants bit-identical by construction rather than by
+/// vigilance.
 
 namespace gems::simd::internal {
 
@@ -89,6 +95,14 @@ inline constexpr int kCmBlockSlots = 8;
 inline constexpr int kCmBlockColBits = 3;
 inline constexpr int kCsBlockSignShift = 24;
 
+// Largest power-of-two column count per row that fits depth rows into one
+// 8-counter block (depth 1 -> 8, 2 -> 4, 3..4 -> 2, 5..8 -> 1).
+inline uint32_t BlockColsFor(uint32_t depth) {
+  uint32_t cols = 1;
+  while (cols * 2 * depth <= kCmBlockSlots) cols *= 2;
+  return cols;
+}
+
 inline uint32_t CmBlockCol(uint64_t probe_bits, uint32_t row,
                            uint32_t col_mask) {
   return static_cast<uint32_t>(probe_bits >> (kCmBlockColBits * row)) &
@@ -130,6 +144,37 @@ inline void CsBlockedAddOne(int64_t* block, uint32_t depth, uint32_t cols,
     int64_t& slot = block[r * cols + CmBlockCol(probe_bits, r, col_mask)];
     const uint64_t delta = CsBlockSign(probe_bits, r) > 0 ? mag : uint64_t{0} - mag;
     slot = static_cast<int64_t>(static_cast<uint64_t>(slot) + delta);
+  }
+}
+
+// The scalar blocked batch schedule: per run of 64 keys, hash each key
+// once, select its block and prefetch the block's line (for writing unless
+// `Counter` is const), then call touch(block, probe_bits, i) for each key
+// i in order, once the loads are in flight. The blocks and probes are
+// exactly the per-item ones, so a batch matches per-item Update/Estimate.
+// Kept out of line: inlined into CountMinSketch::UpdateBatch, the same
+// loop ran at about 0.7x on bench_e07_throughput's layout shape.
+template <typename Counter, typename Touch>
+[[gnu::noinline]] void ForEachBlock(Counter* slots, uint64_t num_blocks,
+                                    uint64_t seed,
+                                    std::span<const uint64_t> keys,
+                                    Touch&& touch) {
+  constexpr int kForWrite = std::is_const_v<Counter> ? 0 : 1;
+  const InvariantMod mod(num_blocks);
+  constexpr size_t kRun = 64;
+  uint64_t blocks[kRun];
+  uint64_t probes[kRun];
+  for (size_t base = 0; base < keys.size(); base += kRun) {
+    const size_t len = std::min(kRun, keys.size() - base);
+    for (size_t i = 0; i < len; ++i) {
+      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
+      blocks[i] = mod(h.low);
+      probes[i] = h.high;
+      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], kForWrite);
+    }
+    for (size_t i = 0; i < len; ++i) {
+      touch(&slots[blocks[i] * kCmBlockSlots], probes[i], base + i);
+    }
   }
 }
 

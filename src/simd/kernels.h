@@ -5,32 +5,31 @@
 #include <cstdint>
 
 /// \file
-/// The kernel table: one function pointer per measured hot loop, with one
-/// scalar reference implementation (kernels_scalar.cc) and per-ISA variants
-/// (kernels_avx2.cc and kernels_avx512.cc on x86-64, kernels_neon.cc on
-/// aarch64). A table is
-/// selected once at startup by dispatch.cc; sketches call through
-/// `simd::Kernels()` and never test CPU features themselves.
+/// The kernel table: one function pointer per hot loop that has a vector
+/// variant, with one scalar reference implementation (kernels_scalar.cc)
+/// and the x86-64 variants (kernels_avx2.cc, kernels_avx512.cc). A variant
+/// stays only where it beats the scalar reference by at least 1.10x at one
+/// of its callers' shapes (DESIGN.md, "Kernel audit"); other ISAs run the
+/// scalar table. A table is selected once at startup by dispatch.cc;
+/// sketches call through `simd::Kernels()` and never test CPU features
+/// themselves.
 ///
 /// The contract every variant must honor is **bit identity**: for any
 /// input, a variant produces exactly the bytes/values the scalar reference
-/// produces — same register contents, same counter values, same sorted
-/// order — so a sketch ingested under one dispatch level serializes to the
-/// same envelope as under any other. tests/simd_test.cc enforces this on
-/// randomized lengths (empty, single element, non-multiple-of-lane-width
-/// tails) for every kernel.
+/// produces — same register contents, same counter values — so a sketch
+/// ingested under one dispatch level serializes to the same envelope as
+/// under any other. tests/simd_test.cc enforces this on randomized lengths
+/// (empty, single element, non-multiple-of-lane-width tails) for every
+/// kernel.
 ///
 /// Floating-point kernels state their reduction order explicitly (stripe-4
 /// accumulation, reduced as (s0+s1)+(s2+s3)) so scalar and vector variants
-/// associate additions identically. Sort kernels are unstable and assume
-/// no NaNs; values that compare equal but differ bitwise (-0.0 vs +0.0)
-/// may permute across variants.
+/// associate additions identically.
 
 namespace gems::simd {
 
 struct SimdKernels {
-  /// Variant name for bench/caps attribution: "scalar", "avx2", "avx512",
-  /// "neon".
+  /// Variant name for bench/caps attribution: "scalar", "avx2", "avx512".
   const char* name;
 
   // ---------------------------------------------------------------- hash
@@ -95,11 +94,6 @@ struct SimdKernels {
   void (*cm_row_min)(const uint64_t* row, uint64_t width,
                      const uint64_t* hashes, size_t n, uint64_t* out);
 
-  /// CountSketch signed row update over precomputed buckets:
-  /// row[buckets[i]] += signed_weights[i].
-  void (*cs_row_scatter)(int64_t* row, const uint32_t* buckets,
-                         const int64_t* signed_weights, size_t n);
-
   /// Σ (double)v[i] * (double)v[i] with the stripe-4 contract above
   /// (CountSketch/AMS F2 row evaluation feeding the median).
   double (*i64_sum_squares)(const int64_t* values, size_t n);
@@ -124,32 +118,7 @@ struct SimdKernels {
                          uint32_t cols, uint64_t seed, const uint64_t* keys,
                          size_t n);
 
-  /// Weighted variant: every touched slot gains weights[i] (as uint64).
-  void (*cm_blocked_add_weighted)(uint64_t* slots, uint64_t num_blocks,
-                                  uint32_t depth, uint32_t cols, uint64_t seed,
-                                  const uint64_t* keys, const int64_t* weights,
-                                  size_t n);
-
-  /// Blocked Count-Min batch point query with the same probe schedule:
-  /// out[i] = min over rows of the selected block's counters (written
-  /// directly — no caller seeding, unlike cm_row_min's row-fold contract).
-  void (*cm_blocked_min)(const uint64_t* slots, uint64_t num_blocks,
-                         uint32_t depth, uint32_t cols, uint64_t seed,
-                         const uint64_t* keys, size_t n, uint64_t* out);
-
-  /// Blocked CountSketch batch update: same block/column schedule over
-  /// int64 counters, sign for row r from bit 24+r of h.high (disjoint from
-  /// the column slices). `weights == nullptr` means unit weight.
-  void (*cs_blocked_add)(int64_t* slots, uint64_t num_blocks, uint32_t depth,
-                         uint32_t cols, uint64_t seed, const uint64_t* keys,
-                         const int64_t* weights, size_t n);
-
   // -------------------------------------------------- membership filters
-
-  /// Kirsch-Mitzenmacher multi-probe insert for the flat Bloom filter:
-  /// for each key i, set bit (h1[i] + j*h2[i]) % num_bits for j in [0, k).
-  void (*bloom_insert)(uint64_t* bits, uint64_t num_bits, int k,
-                       const uint64_t* h1, const uint64_t* h2, size_t n);
 
   /// Batch membership: out[i] = 1 iff all k probe bits of key i are set.
   void (*bloom_query)(const uint64_t* bits, uint64_t num_bits, int k,
@@ -168,23 +137,10 @@ struct SimdKernels {
                               int k, uint64_t seed, const uint64_t* keys,
                               size_t n, uint8_t* out);
 
-  // ------------------------------------------------------ quantiles (KLL)
-
-  /// Unstable ascending sort (KLL level-buffer compaction). No NaNs.
-  void (*sort_doubles)(double* data, size_t n);
-
-  /// Merge two ascending runs into `out` (size na + nb). Ties take from
-  /// `a` first. No NaNs. `out` must not alias the inputs.
-  void (*merge_doubles)(const double* a, size_t na, const double* b,
-                        size_t nb, double* out);
-
   // ------------------------------------------- elementwise merge kernels
 
   /// dst[i] = min(dst[i], src[i]) (MinHash signature merge).
   void (*u64_min)(uint64_t* dst, const uint64_t* src, size_t n);
-
-  /// dst[i] |= src[i] (Bloom-family merges).
-  void (*u64_or)(uint64_t* dst, const uint64_t* src, size_t n);
 
   /// dst[i] += src[i] (Count-Min merge).
   void (*u64_add)(uint64_t* dst, const uint64_t* src, size_t n);
@@ -202,14 +158,9 @@ const SimdKernels& ScalarKernels();
 const SimdKernels* Avx2Kernels();
 
 /// The AVX-512 table (requires F+CD+DQ+VL+BW at run time), or nullptr when
-/// the toolchain cannot target AVX-512. Inherits AVX2 kernels where a
-/// 512-bit form buys nothing.
+/// the toolchain cannot target AVX-512. Starts from the AVX2 table, so
+/// hll_harmonic_sum and bloom_query run their AVX2 variants.
 const SimdKernels* Avx512Kernels();
-#endif
-
-#if defined(__aarch64__)
-/// The NEON table (aarch64 always has NEON).
-const SimdKernels* NeonKernels();
 #endif
 
 }  // namespace gems::simd

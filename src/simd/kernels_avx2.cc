@@ -6,10 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/bits.h"
 #include "common/random.h"
 #include "hash/hashed_batch.h"
-#include "hash/murmur3.h"
 #include "simd/internal.h"
 #include "simd/kernels.h"
 
@@ -31,10 +29,6 @@
 namespace gems::simd {
 namespace {
 
-using internal::BlockedBloomProbe;
-using internal::BlockedBloomTest;
-using internal::kBlockedBloomWordsPerBlock;
-
 inline __m256i Splat64(uint64_t x) {
   return _mm256_set1_epi64x(static_cast<long long>(x));
 }
@@ -47,12 +41,6 @@ inline __m256i Mul64(__m256i a, __m256i b) {
   const __m256i cross =
       _mm256_add_epi64(_mm256_mul_epu32(a_hi, b), _mm256_mul_epu32(a, b_hi));
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// Lane-wise rotate left.
-inline __m256i RotL64(__m256i x, int r) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, r),
-                         _mm256_srli_epi64(x, 64 - r));
 }
 
 /// Lane-wise unsigned a > b (bias both sides into signed range).
@@ -76,37 +64,6 @@ inline __m256i Mix64V(__m256i x) {
   x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
             Splat64(0x94D049BB133111EBULL));
   return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
-/// Four lanes of Murmur3's FMix64 finalizer.
-inline __m256i FMix64V(__m256i k) {
-  k = _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
-  k = Mul64(k, Splat64(0xFF51AFD7ED558CCDULL));
-  k = _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
-  k = Mul64(k, Splat64(0xC4CEB9FE1A85EC53ULL));
-  return _mm256_xor_si256(k, _mm256_srli_epi64(k, 33));
-}
-
-/// Four lanes of Murmur3_128_U64: lo/hi halves for keys[0..3].
-inline void Murmur3x4(__m256i keys, uint64_t seed, __m256i* lo, __m256i* hi) {
-  const __m256i seedv = Splat64(seed);
-  __m256i k1 = Mul64(keys, Splat64(murmur3_detail::kC1));
-  k1 = RotL64(k1, 31);
-  k1 = Mul64(k1, Splat64(murmur3_detail::kC2));
-  __m256i h1 = _mm256_xor_si256(seedv, k1);
-  __m256i h2 = seedv;
-  // Finalize(h1, seed, len=8).
-  const __m256i len = Splat64(8);
-  h1 = _mm256_xor_si256(h1, len);
-  h2 = _mm256_xor_si256(h2, len);
-  h1 = _mm256_add_epi64(h1, h2);
-  h2 = _mm256_add_epi64(h2, h1);
-  h1 = FMix64V(h1);
-  h2 = FMix64V(h2);
-  h1 = _mm256_add_epi64(h1, h2);
-  h2 = _mm256_add_epi64(h2, h1);
-  *lo = h1;
-  *hi = h2;
 }
 
 /// Vector Granlund-Montgomery modulo with the exact same math as
@@ -190,24 +147,6 @@ uint64_t Mix64Min(const uint64_t* keys, size_t n, uint64_t mixed_seed) {
   return best;
 }
 
-void Murmur3BatchU64(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t* lo, uint64_t* hi) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    __m256i l, h;
-    Murmur3x4(k, seed, &l, &h);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo + i), l);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi + i), h);
-  }
-  for (; i < n; ++i) {
-    const Hash128 h = Murmur3_128_U64(keys[i], seed);
-    lo[i] = h.low;
-    hi[i] = h.high;
-  }
-}
-
 /// Four lanes of (a * b + c) mod p, p = 2^61 - 1, for a, b, c < p, with b
 /// given as its 32-bit limbs. The same four-product fold as the AVX-512
 /// MulAddMod61V8 (see there for the bounds); it ends at s <= p + 4 < 2^62,
@@ -258,79 +197,6 @@ void Mod61PolyEval(const uint64_t* x, size_t n, const uint64_t* coeffs, int k,
 }
 
 // ------------------------------------------------------------ cardinality
-
-void HllIngest(uint8_t* regs, int precision, const uint64_t* keys, size_t n,
-               uint64_t mixed_seed) {
-  const int shift = 64 - precision;
-  const __m256i seedv = Splat64(mixed_seed);
-  const __m128i shiftc = _mm_cvtsi32_si128(shift);
-  const __m256i low_mask = Splat64((uint64_t{1} << shift) - 1);
-  const __m256i lo32_mask = Splat64(0xFFFFFFFFull);
-  const __m256i zero = _mm256_setzero_si256();
-  // 0x433... is 2^52's bit pattern: OR-ing a value < 2^32 into it and
-  // subtracting 2^52 as a double yields that value *exactly* as a double,
-  // whose exponent field is 1023 + FloorLog2(value) (0 when value == 0).
-  // This is an exact vector FloorLog2 — no rounding is possible because
-  // every input fits in the 52-bit mantissa — applied to whichever 32-bit
-  // half of the masked hash holds the leading one bit.
-  const __m256i magic = Splat64(0x4330000000000000ull);
-  const __m256i bias = Splat64(1023);
-  const __m256i thirty_two = Splat64(32);
-  const __m256i shift_v = Splat64(static_cast<uint64_t>(shift));
-  const __m256i rho_cap = Splat64(static_cast<uint64_t>(shift) + 1);
-
-  // One packed word per key: (index << 8) | rho. Everything up to the
-  // register max is vector math; only the max itself runs scalar, because
-  // duplicate indices within a block make a gathered max lose updates.
-  const auto packed_rho_idx = [&](__m256i h) {
-    const __m256i idx = _mm256_srl_epi64(h, shiftc);
-    const __m256i v = _mm256_and_si256(h, low_mask);
-    const __m256i hi = _mm256_srli_epi64(v, 32);
-    const __m256i hi_zero = _mm256_cmpeq_epi64(hi, zero);
-    const __m256i x =
-        _mm256_blendv_epi8(hi, _mm256_and_si256(v, lo32_mask), hi_zero);
-    const __m256d d = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(x, magic)),
-        _mm256_castsi256_pd(magic));
-    __m256i floor_log2 =
-        _mm256_sub_epi64(_mm256_srli_epi64(_mm256_castpd_si256(d), 52), bias);
-    floor_log2 = _mm256_add_epi64(floor_log2,
-                                  _mm256_andnot_si256(hi_zero, thirty_two));
-    // rho = shift - FloorLog2(v); v == 0 left floor_log2 at -1023, so the
-    // unsigned min supplies the shift+1 "all low bits clear" answer. Lanes
-    // stay in [1, shift+1023], high halves zero, so a 32-bit min is safe.
-    const __m256i rho = _mm256_min_epu32(_mm256_sub_epi64(shift_v, floor_log2),
-                                         rho_cap);
-    return _mm256_or_si256(_mm256_slli_epi64(idx, 8), rho);
-  };
-
-  alignas(32) uint64_t packed[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i + 4));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(packed),
-                       packed_rho_idx(Mix64V(_mm256_add_epi64(a, seedv))));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(packed + 4),
-                       packed_rho_idx(Mix64V(_mm256_add_epi64(b, seedv))));
-    for (int j = 0; j < 8; ++j) {
-      const uint64_t w = packed[j];
-      const uint8_t rho = static_cast<uint8_t>(w);
-      uint8_t* reg = regs + (w >> 8);
-      // Conditional store: registers saturate fast, so the branch predicts
-      // not-taken and repeated same-index updates skip the store entirely.
-      if (rho > *reg) *reg = rho;
-    }
-  }
-  for (; i < n; ++i) {
-    const uint64_t hash = Mix64(keys[i] + mixed_seed);
-    const uint32_t index = static_cast<uint32_t>(hash >> shift);
-    const uint8_t rho = static_cast<uint8_t>(RankOfLeftmostOne(hash, shift));
-    regs[index] = std::max(regs[index], rho);
-  }
-}
 
 void U8Max(uint8_t* dst, const uint8_t* src, size_t n) {
   size_t i = 0;
@@ -438,113 +304,6 @@ void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
   }
 }
 
-using internal::CmBlockedAddOne;
-using internal::CmBlockedMinOne;
-using internal::CsBlockedAddOne;
-using internal::kCmBlockSlots;
-
-/// Hash + block-select phase shared by the blocked frequency kernels:
-/// 4-wide Murmur3 and vector modulo into the chunk-local blocks/probes
-/// arrays, scalar tail bit-identical by the shared InvariantMod contract.
-inline void CmHashBlocksChunk(const uint64_t* keys, size_t len, uint64_t seed,
-                              const VecMod& mod, uint64_t* blocks,
-                              uint64_t* probes) {
-  size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i key =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    __m256i lo, hi;
-    Murmur3x4(key, seed, &lo, &hi);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(blocks + i), mod(lo));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(probes + i), hi);
-  }
-  for (; i < len; ++i) {
-    const Hash128 h = Murmur3_128_U64(keys[i], seed);
-    blocks[i] = mod.scalar(h.low);
-    probes[i] = h.high;
-  }
-}
-
-void CmBlockedAdd(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys,
-                  size_t n) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], 1);
-    }
-  }
-}
-
-void CmBlockedAddWeighted(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                          uint32_t cols, uint64_t seed, const uint64_t* keys,
-                          const int64_t* weights, size_t n) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], static_cast<uint64_t>(weights[base + i]));
-    }
-  }
-}
-
-void CmBlockedMin(const uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys, size_t n,
-                  uint64_t* out) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 0);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      out[base + i] = CmBlockedMinOne(&slots[blocks[i] * kCmBlockSlots], depth,
-                                      cols, probes[i]);
-    }
-  }
-}
-
-void CsBlockedAdd(int64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys,
-                  const int64_t* weights, size_t n) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CsBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], weights == nullptr ? 1 : weights[base + i]);
-    }
-  }
-}
-
 double I64SumSquares(const int64_t* values, size_t n) {
   // AVX2 has no packed int64->double conversion; convert lanes through the
   // scalar unit (identical rounding to the reference's cast) and keep the
@@ -567,35 +326,6 @@ double I64SumSquares(const int64_t* values, size_t n) {
 }
 
 // ------------------------------------------------------------- membership
-
-void BloomInsert(uint64_t* bits, uint64_t num_bits, int k, const uint64_t* h1,
-                 const uint64_t* h2, size_t n) {
-  const VecMod mod(num_bits);
-  alignas(32) uint64_t idx[4];
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i h = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(h1 + i));
-    const __m256i step = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(h2 + i));
-    for (int j = 0; j < k; ++j) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(idx), mod(h));
-      for (int lane = 0; lane < 4; ++lane) {
-        bits[idx[lane] >> 6] |= uint64_t{1} << (idx[lane] & 63);
-      }
-      h = _mm256_add_epi64(h, step);
-    }
-  }
-  for (; i < n; ++i) {
-    uint64_t h = h1[i];
-    const uint64_t step = h2[i];
-    for (int j = 0; j < k; ++j) {
-      const uint64_t bit = mod.scalar(h);
-      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-      h += step;
-    }
-  }
-}
 
 void BloomQuery(const uint64_t* bits, uint64_t num_bits, int k,
                 const uint64_t* h1, const uint64_t* h2, size_t n,
@@ -641,71 +371,6 @@ void BloomQuery(const uint64_t* bits, uint64_t num_bits, int k,
   }
 }
 
-void BlockedBloomInsert(uint64_t* words, uint64_t num_blocks, int k,
-                        uint64_t seed, const uint64_t* keys, size_t n) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      const __m256i key = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(keys + base + i));
-      __m256i lo, hi;
-      Murmur3x4(key, seed, &lo, &hi);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(blocks + i), mod(lo));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(probes + i), hi);
-    }
-    for (; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod.scalar(h.low);
-      probes[i] = h.high;
-    }
-    for (i = 0; i < len; ++i) {
-      __builtin_prefetch(&words[blocks[i] * kBlockedBloomWordsPerBlock], 1);
-    }
-    for (i = 0; i < len; ++i) {
-      BlockedBloomProbe(&words[blocks[i] * kBlockedBloomWordsPerBlock], k,
-                        probes[i]);
-    }
-  }
-}
-
-void BlockedBloomQuery(const uint64_t* words, uint64_t num_blocks, int k,
-                       uint64_t seed, const uint64_t* keys, size_t n,
-                       uint8_t* out) {
-  const VecMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(32) uint64_t blocks[kChunk];
-  alignas(32) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      const __m256i key = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(keys + base + i));
-      __m256i lo, hi;
-      Murmur3x4(key, seed, &lo, &hi);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(blocks + i), mod(lo));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(probes + i), hi);
-    }
-    for (; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod.scalar(h.low);
-      probes[i] = h.high;
-    }
-    for (i = 0; i < len; ++i) {
-      __builtin_prefetch(&words[blocks[i] * kBlockedBloomWordsPerBlock], 0);
-    }
-    for (i = 0; i < len; ++i) {
-      out[base + i] = BlockedBloomTest(
-          &words[blocks[i] * kBlockedBloomWordsPerBlock], k, probes[i]);
-    }
-  }
-}
-
 // ------------------------------------------------------------ elementwise
 
 void U64Min(uint64_t* dst, const uint64_t* src, size_t n) {
@@ -718,19 +383,6 @@ void U64Min(uint64_t* dst, const uint64_t* src, size_t n) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), MinU64(a, b));
   }
   for (; i < n; ++i) dst[i] = std::min(dst[i], src[i]);
-}
-
-void U64Or(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
 }
 
 void U64Add(uint64_t* dst, const uint64_t* src, size_t n) {
@@ -754,33 +406,24 @@ void I64Add(int64_t* dst, const int64_t* src, size_t n) {
 }  // namespace
 
 const SimdKernels* Avx2Kernels() {
-  // Start from the scalar table so loops with no profitable vector form
-  // (scatter adds, sorts, the precomputed-hash register pass) share the
-  // reference implementation by construction.
+  // Start from the scalar table: entries whose AVX2 form did not beat it
+  // at any caller shape (hll_ingest, hll_update_hashes, murmur3_batch_u64,
+  // cm_blocked_add, the blocked Bloom loops) share the reference
+  // implementation.
   static const SimdKernels table = [] {
     SimdKernels t = ScalarKernels();
     t.name = "avx2";
     t.mix64_batch = &Mix64Batch;
     t.mix64_min = &Mix64Min;
-    t.murmur3_batch_u64 = &Murmur3BatchU64;
     t.mod61_poly_eval = &Mod61PolyEval;
-    t.hll_ingest = &HllIngest;
     t.u8_max = &U8Max;
     t.hll_harmonic_sum = &HllHarmonicSum;
     t.cm_row_add = &CmRowAdd;
     t.cm_row_add_weighted = &CmRowAddWeighted;
     t.cm_row_min = &CmRowMin;
     t.i64_sum_squares = &I64SumSquares;
-    t.cm_blocked_add = &CmBlockedAdd;
-    t.cm_blocked_add_weighted = &CmBlockedAddWeighted;
-    t.cm_blocked_min = &CmBlockedMin;
-    t.cs_blocked_add = &CsBlockedAdd;
-    t.bloom_insert = &BloomInsert;
     t.bloom_query = &BloomQuery;
-    t.blocked_bloom_insert = &BlockedBloomInsert;
-    t.blocked_bloom_query = &BlockedBloomQuery;
     t.u64_min = &U64Min;
-    t.u64_or = &U64Or;
     t.u64_add = &U64Add;
     t.i64_add = &I64Add;
     return t;

@@ -376,108 +376,36 @@ void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
   }
 }
 
-using internal::CmBlockedAddOne;
-using internal::CmBlockedMinOne;
-using internal::CsBlockedAddOne;
-using internal::kCmBlockSlots;
-
-/// Hash + block-select phase shared by the blocked frequency kernels:
-/// 8-wide Murmur3 + vector modulo into the chunk-local arrays (blocks via
-/// Store8 because the probe loop reloads them as scalars), scalar tail
-/// bit-identical by the shared InvariantMod contract.
-inline void CmHashBlocksChunk(const uint64_t* keys, size_t len, uint64_t seed,
-                              const VecMod512& mod, uint64_t* blocks,
-                              uint64_t* probes) {
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    __m512i lo, hi;
-    Murmur3x8(_mm512_loadu_si512(keys + i), seed, &lo, &hi);
-    Store8(blocks + i, mod(lo));
-    _mm512_store_si512(probes + i, hi);
-  }
-  for (; i < len; ++i) {
-    const Hash128 h = Murmur3_128_U64(keys[i], seed);
-    blocks[i] = mod.scalar(h.low);
-    probes[i] = h.high;
-  }
-}
-
 void CmBlockedAdd(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
                   uint32_t cols, uint64_t seed, const uint64_t* keys,
                   size_t n) {
+  using internal::kCmBlockSlots;
   const VecMod512 mod(num_blocks);
   constexpr size_t kChunk = 64;
   alignas(64) uint64_t blocks[kChunk];
   alignas(64) uint64_t probes[kChunk];
   for (size_t base = 0; base < n; base += kChunk) {
     const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
+    // 8-wide Murmur3 and vector modulo; blocks go through Store8 because
+    // the probe loop reloads them as scalars.
+    size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+      __m512i lo, hi;
+      Murmur3x8(_mm512_loadu_si512(keys + base + i), seed, &lo, &hi);
+      Store8(blocks + i, mod(lo));
+      _mm512_store_si512(probes + i, hi);
+    }
+    for (; i < len; ++i) {
+      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
+      blocks[i] = mod.scalar(h.low);
+      probes[i] = h.high;
+    }
+    for (i = 0; i < len; ++i) {
       __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
     }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], 1);
-    }
-  }
-}
-
-void CmBlockedAddWeighted(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                          uint32_t cols, uint64_t seed, const uint64_t* keys,
-                          const int64_t* weights, size_t n) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], static_cast<uint64_t>(weights[base + i]));
-    }
-  }
-}
-
-void CmBlockedMin(const uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys, size_t n,
-                  uint64_t* out) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 0);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      out[base + i] = CmBlockedMinOne(&slots[blocks[i] * kCmBlockSlots], depth,
-                                      cols, probes[i]);
-    }
-  }
-}
-
-void CsBlockedAdd(int64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys,
-                  const int64_t* weights, size_t n) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CsBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], weights == nullptr ? 1 : weights[base + i]);
+    for (i = 0; i < len; ++i) {
+      internal::CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
+                                probes[i], 1);
     }
   }
 }
@@ -579,16 +507,6 @@ void U64Min(uint64_t* dst, const uint64_t* src, size_t n) {
   for (; i < n; ++i) dst[i] = std::min(dst[i], src[i]);
 }
 
-void U64Or(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + i);
-    const __m512i b = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
 void U64Add(uint64_t* dst, const uint64_t* src, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -607,9 +525,9 @@ void I64Add(int64_t* dst, const int64_t* src, size_t n) {
 }  // namespace
 
 const SimdKernels* Avx512Kernels() {
-  // Start from the AVX2 table: kernels with no profitable 512-bit form
-  // (Bloom flat-array probes, the gather-heavy query paths it already
-  // handles well, sorts) inherit the best narrower implementation.
+  // Start from the AVX2 table: hll_harmonic_sum (four lanes are the four
+  // stripes) and bloom_query keep their AVX2 variants, and entries with no
+  // vector win keep the scalar reference.
   static const SimdKernels table = [] {
     const SimdKernels* base = Avx2Kernels();
     SimdKernels t = base != nullptr ? *base : ScalarKernels();
@@ -626,13 +544,9 @@ const SimdKernels* Avx512Kernels() {
     t.cm_row_min = &CmRowMin;
     t.i64_sum_squares = &I64SumSquares;
     t.cm_blocked_add = &CmBlockedAdd;
-    t.cm_blocked_add_weighted = &CmBlockedAddWeighted;
-    t.cm_blocked_min = &CmBlockedMin;
-    t.cs_blocked_add = &CsBlockedAdd;
     t.blocked_bloom_insert = &BlockedBloomInsert;
     t.blocked_bloom_query = &BlockedBloomQuery;
     t.u64_min = &U64Min;
-    t.u64_or = &U64Or;
     t.u64_add = &U64Add;
     t.i64_add = &I64Add;
     return t;

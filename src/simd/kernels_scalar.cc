@@ -120,111 +120,14 @@ void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
   }
 }
 
-void CsRowScatter(int64_t* row, const uint32_t* buckets,
-                  const int64_t* signed_weights, size_t n) {
-  // Unsigned wrapping add: counters near INT64_MAX must wrap in two's
-  // complement like the vector kernels' hardware adds do, not hit signed-
-  // overflow UB.
-  for (size_t i = 0; i < n; ++i) {
-    row[buckets[i]] =
-        static_cast<int64_t>(static_cast<uint64_t>(row[buckets[i]]) +
-                             static_cast<uint64_t>(signed_weights[i]));
-  }
-}
-
-using internal::CmBlockedAddOne;
-using internal::CmBlockedMinOne;
-using internal::CsBlockedAddOne;
-using internal::kCmBlockSlots;
-
 void CmBlockedAdd(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
                   uint32_t cols, uint64_t seed, const uint64_t* keys,
                   size_t n) {
-  const InvariantMod mod(num_blocks);
-  // Same chunked hash-then-touch shape as BlockedBloomInsert: block-select a
-  // run of keys, prefetch their lines, probe once the loads are in flight.
-  constexpr size_t kChunk = 64;
-  uint64_t blocks[kChunk];
-  uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    for (size_t i = 0; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod(h.low);
-      probes[i] = h.high;
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], 1);
-    }
-  }
-}
-
-void CmBlockedAddWeighted(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                          uint32_t cols, uint64_t seed, const uint64_t* keys,
-                          const int64_t* weights, size_t n) {
-  const InvariantMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  uint64_t blocks[kChunk];
-  uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    for (size_t i = 0; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod(h.low);
-      probes[i] = h.high;
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], static_cast<uint64_t>(weights[base + i]));
-    }
-  }
-}
-
-void CmBlockedMin(const uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys, size_t n,
-                  uint64_t* out) {
-  const InvariantMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  uint64_t blocks[kChunk];
-  uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    for (size_t i = 0; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod(h.low);
-      probes[i] = h.high;
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 0);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      out[base + i] = CmBlockedMinOne(&slots[blocks[i] * kCmBlockSlots], depth,
-                                      cols, probes[i]);
-    }
-  }
-}
-
-void CsBlockedAdd(int64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys,
-                  const int64_t* weights, size_t n) {
-  const InvariantMod mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  uint64_t blocks[kChunk];
-  uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    for (size_t i = 0; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod(h.low);
-      probes[i] = h.high;
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CsBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], weights == nullptr ? 1 : weights[base + i]);
-    }
-  }
+  internal::ForEachBlock(slots, num_blocks, seed, {keys, n},
+                         [&](uint64_t* block, uint64_t probe_bits, size_t) {
+                           internal::CmBlockedAddOne(block, depth, cols,
+                                                     probe_bits, 1);
+                         });
 }
 
 double I64SumSquares(const int64_t* values, size_t n) {
@@ -237,20 +140,6 @@ double I64SumSquares(const int64_t* values, size_t n) {
 }
 
 // ------------------------------------------------------------- membership
-
-void BloomInsert(uint64_t* bits, uint64_t num_bits, int k, const uint64_t* h1,
-                 const uint64_t* h2, size_t n) {
-  const InvariantMod mod(num_bits);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t h = h1[i];
-    const uint64_t step = h2[i];
-    for (int j = 0; j < k; ++j) {
-      const uint64_t bit = mod(h);
-      bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-      h += step;
-    }
-  }
-}
 
 void BloomQuery(const uint64_t* bits, uint64_t num_bits, int k,
                 const uint64_t* h1, const uint64_t* h2, size_t n,
@@ -318,24 +207,10 @@ void BlockedBloomQuery(const uint64_t* words, uint64_t num_blocks, int k,
   }
 }
 
-// -------------------------------------------------------------- quantiles
-
-void SortDoubles(double* data, size_t n) { std::sort(data, data + n); }
-
-void MergeDoubles(const double* a, size_t na, const double* b, size_t nb,
-                  double* out) {
-  // std::merge takes from the first range on ties, per the contract.
-  std::merge(a, a + na, b, b + nb, out);
-}
-
 // ------------------------------------------------------------ elementwise
 
 void U64Min(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] = std::min(dst[i], src[i]);
-}
-
-void U64Or(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
 }
 
 void U64Add(uint64_t* dst, const uint64_t* src, size_t n) {
@@ -343,8 +218,8 @@ void U64Add(uint64_t* dst, const uint64_t* src, size_t n) {
 }
 
 void I64Add(int64_t* dst, const int64_t* src, size_t n) {
-  // Unsigned wrapping add for the same reason as CsRowScatter: merging two
-  // near-saturated counters must wrap like the vector variants, not be UB.
+  // Unsigned wrapping add: merging two near-saturated counters must wrap
+  // like the vector variants, not be UB.
   for (size_t i = 0; i < n; ++i) {
     dst[i] = static_cast<int64_t>(static_cast<uint64_t>(dst[i]) +
                                   static_cast<uint64_t>(src[i]));
@@ -366,21 +241,13 @@ const SimdKernels& ScalarKernels() {
       .cm_row_add = &CmRowAdd,
       .cm_row_add_weighted = &CmRowAddWeighted,
       .cm_row_min = &CmRowMin,
-      .cs_row_scatter = &CsRowScatter,
       .i64_sum_squares = &I64SumSquares,
       .mod61_poly_eval = &Mod61PolyEval,
       .cm_blocked_add = &CmBlockedAdd,
-      .cm_blocked_add_weighted = &CmBlockedAddWeighted,
-      .cm_blocked_min = &CmBlockedMin,
-      .cs_blocked_add = &CsBlockedAdd,
-      .bloom_insert = &BloomInsert,
       .bloom_query = &BloomQuery,
       .blocked_bloom_insert = &BlockedBloomInsert,
       .blocked_bloom_query = &BlockedBloomQuery,
-      .sort_doubles = &SortDoubles,
-      .merge_doubles = &MergeDoubles,
       .u64_min = &U64Min,
-      .u64_or = &U64Or,
       .u64_add = &U64Add,
       .i64_add = &I64Add,
   };

@@ -192,6 +192,54 @@ TEST(BatchEquivalence, CountSketchFlatUnderEachTable) {
   }
 }
 
+TEST(BatchEquivalence, PrefetchPathsUnderEachTable) {
+  // Above their size thresholds (a 256 KiB counter row, 2^17 registers)
+  // flat Count-Min, flat CountSketch and HyperLogLog switch to a two-phase
+  // hash, prefetch, update loop. These shapes sit exactly at the
+  // thresholds; under the active table and the scalar reference the batch
+  // paths must match per-item Update byte for byte.
+  std::vector<uint64_t> items = ZipfItems(20000, 41);
+  const std::vector<uint64_t> spread = SpreadItems(20000);
+  items.insert(items.end(), spread.begin(), spread.end());
+  std::vector<int64_t> weights;
+  for (size_t i = 0; i < items.size(); ++i) {
+    weights.push_back(static_cast<int64_t>(i % 9) - 4);
+  }
+  constexpr uint32_t kWidth = 32768;
+  CountMinSketch cm_ref(kWidth, 4, /*seed=*/5);
+  CountSketch cs_ref(kWidth, 4, /*seed=*/5);
+  CountSketch cs_weighted_ref(kWidth, 4, /*seed=*/5);
+  HyperLogLog hll_ref(17, /*seed=*/5);
+  for (size_t i = 0; i < items.size(); ++i) {
+    cm_ref.Update(items[i]);
+    cs_ref.Update(items[i]);
+    cs_weighted_ref.Update(items[i], weights[i]);
+    hll_ref.Update(items[i]);
+  }
+  for (bool force_scalar : {false, true}) {
+    simd::ForceScalarForTesting(force_scalar);
+    SCOPED_TRACE(simd::ActiveLevel());
+    CountMinSketch cm(kWidth, 4, /*seed=*/5);
+    CountSketch cs(kWidth, 4, /*seed=*/5);
+    CountSketch cs_weighted(kWidth, 4, /*seed=*/5);
+    HyperLogLog hll(17, /*seed=*/5);
+    size_t offset = 0;
+    FeedRagged<uint64_t>(items, [&](std::span<const uint64_t> s) {
+      cm.UpdateBatch(s);
+      cs.UpdateBatch(s);
+      cs_weighted.UpdateBatch(
+          s, std::span<const int64_t>(weights).subspan(offset, s.size()));
+      hll.UpdateBatch(s);
+      offset += s.size();
+    });
+    simd::ForceScalarForTesting(false);
+    EXPECT_EQ(cm.Serialize(), cm_ref.Serialize());
+    EXPECT_EQ(cs.Serialize(), cs_ref.Serialize());
+    EXPECT_EQ(cs_weighted.Serialize(), cs_weighted_ref.Serialize());
+    EXPECT_EQ(hll.Serialize(), hll_ref.Serialize());
+  }
+}
+
 TEST(BatchEquivalence, CountSketchNegativeWeights) {
   CountSketch batched(2048, 5, /*seed=*/17);
   CountSketch sequential(2048, 5, /*seed=*/17);
@@ -322,14 +370,17 @@ TEST(BatchEquivalence, AmsWeighted) {
 
 // Batched queries must agree point-for-point with their scalar twins.
 TEST(BatchEquivalence, CountMinEstimateBatch) {
-  CountMinSketch sketch(2048, 4, /*seed=*/43);
-  const std::vector<uint64_t> items = ZipfItems(20000, 25);
-  sketch.UpdateBatch(items);
-  const std::vector<uint64_t> queries = ZipfItems(3000, 26);
-  std::vector<uint64_t> batched(queries.size());
-  sketch.EstimateBatch(queries, batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batched[i], sketch.Estimate(queries[i])) << i;
+  for (SketchLayout layout : {SketchLayout::kFlat, SketchLayout::kBlocked}) {
+    SCOPED_TRACE(LayoutName(layout));
+    CountMinSketch sketch(2048, 4, /*seed=*/43, false, layout);
+    const std::vector<uint64_t> items = ZipfItems(20000, 25);
+    sketch.UpdateBatch(items);
+    const std::vector<uint64_t> queries = ZipfItems(3000, 26);
+    std::vector<uint64_t> batched(queries.size());
+    sketch.EstimateBatch(queries, batched.data());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(batched[i], sketch.Estimate(queries[i])) << i;
+    }
   }
 }
 

@@ -412,7 +412,6 @@ TEST(HugePageTest, VectorSemanticsSurviveGrowthAcrossThreshold) {
 
 TEST(HugePageTest, LayoutJsonMentionsEveryProvenanceField) {
   const std::string json = LayoutJson();
-  EXPECT_NE(json.find("\"prefetch\""), std::string::npos);
   EXPECT_NE(json.find("\"hugepages_enabled\""), std::string::npos);
   EXPECT_NE(json.find("\"hugepage_granted\""), std::string::npos);
   EXPECT_NE(json.find("\"hugepage_denied\""), std::string::npos);

@@ -422,6 +422,18 @@ TEST(CountSketchBlockedTest, BatchMatchesPerItemBitExactly) {
     EXPECT_EQ(per_item.Estimate(item), batched.Estimate(item));
   }
   EXPECT_EQ(per_item.Serialize(), batched.Serialize());
+
+  CountSketch weighted_per(512, 4, 13, SketchLayout::kBlocked);
+  CountSketch weighted_bat(512, 4, 13, SketchLayout::kBlocked);
+  std::vector<int64_t> weights(items.size());
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = static_cast<int64_t>(i % 7) - 3;
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    weighted_per.Update(items[i], weights[i]);
+  }
+  weighted_bat.UpdateBatch(items, weights);
+  EXPECT_EQ(weighted_per.Serialize(), weighted_bat.Serialize());
 }
 
 TEST(CountSketchBlockedTest, SerializeRoundTripAndMerge) {

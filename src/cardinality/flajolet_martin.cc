@@ -64,7 +64,7 @@ std::vector<uint8_t> FlajoletMartin::Serialize() const {
   ByteWriter w;
   w.PutU32(num_bitmaps_);
   w.PutU64(seed_);
-  for (uint64_t word : bitmaps_) w.PutU64(word);
+  w.PutU64s(bitmaps_);
   return WrapEnvelope(SketchTypeId::kFlajoletMartin,
                       std::move(w).TakeBytes());
 }
@@ -82,10 +82,9 @@ Result<FlajoletMartin> FlajoletMartin::Deserialize(
       num_bitmaps > (1u << 24)) {
     return Status::Corruption("invalid FlajoletMartin shape");
   }
+  if (Status sw = r.CheckColumn(num_bitmaps, 8); !sw.ok()) return sw;
   FlajoletMartin fm(num_bitmaps, seed);
-  for (uint64_t& word : fm.bitmaps_) {
-    if (Status sw = r.GetU64(&word); !sw.ok()) return sw;
-  }
+  if (Status sw = r.GetU64s(fm.bitmaps_); !sw.ok()) return sw;
   return fm;
 }
 

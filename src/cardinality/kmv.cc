@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 #include "core/params.h"
@@ -182,13 +183,17 @@ Status KmvSketch::MergeFromView(const View<KmvSketch>& view) {
       !sh.ok()) {
     return sh;
   }
+  for (uint64_t i = 1; i < count; ++i) {
+    if (LoadLittleEndian<uint64_t>(raw.data() + 8 * i) <=
+        LoadLittleEndian<uint64_t>(raw.data() + 8 * (i - 1))) {
+      return Status::Corruption("KMV hashes not strictly ascending");
+    }
+  }
   if (seed != seed_) {
     return Status::InvalidArgument("KMV merge requires equal seed");
   }
-  ByteReader hashes(raw);
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t h;
-    if (Status sh = hashes.GetU64(&h); !sh.ok()) return sh;
+    const uint64_t h = LoadLittleEndian<uint64_t>(raw.data() + 8 * i);
     if (hashes_.size() < k_) {
       hashes_.insert(h);
     } else {
@@ -229,12 +234,14 @@ Result<KmvSketch> KmvSketch::Deserialize(std::span<const uint8_t> bytes) {
   if (Status sc = r.GetVarint(&count); !sc.ok()) return sc;
   if (k < 2) return Status::Corruption("invalid KMV k");
   if (count > k) return Status::Corruption("KMV retained count exceeds k");
-  KmvSketch sketch(k, seed);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t h;
-    if (Status sh = r.GetU64(&h); !sh.ok()) return sh;
-    sketch.hashes_.insert(h);
+  std::vector<uint64_t> hashes;
+  if (Status sh = r.GetU64s(count, &hashes); !sh.ok()) return sh;
+  if (std::adjacent_find(hashes.begin(), hashes.end(),
+                         std::greater_equal<uint64_t>()) != hashes.end()) {
+    return Status::Corruption("KMV hashes not strictly ascending");
   }
+  KmvSketch sketch(k, seed);
+  sketch.hashes_.insert(hashes.begin(), hashes.end());
   return sketch;
 }
 

@@ -55,7 +55,7 @@ std::vector<uint8_t> LinearCounting::Serialize() const {
   ByteWriter w;
   w.PutU64(num_bits_);
   w.PutU64(seed_);
-  for (uint64_t word : bitmap_) w.PutU64(word);
+  w.PutU64s(bitmap_);
   return WrapEnvelope(SketchTypeId::kLinearCounting,
                       std::move(w).TakeBytes());
 }
@@ -71,10 +71,9 @@ Result<LinearCounting> LinearCounting::Deserialize(
   if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (uint64_t{1} << 40)) {
     return Status::Corruption("invalid LinearCounting size");
   }
+  if (Status sw = r.CheckColumn(num_bits / 64, 8); !sw.ok()) return sw;
   LinearCounting lc(num_bits, seed);
-  for (uint64_t& word : lc.bitmap_) {
-    if (Status sw = r.GetU64(&word); !sw.ok()) return sw;
-  }
+  if (Status sw = r.GetU64s(lc.bitmap_); !sw.ok()) return sw;
   return lc;
 }
 

@@ -2,116 +2,47 @@
 
 namespace gems {
 
-void ByteWriter::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<uint8_t>(v));
-}
-
-void ByteWriter::PutBytes(const void* data, size_t size) {
-  PutVarint(size);
-  PutRaw(data, size);
-}
-
-void ByteWriter::PutRaw(const void* data, size_t size) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  buffer_.insert(buffer_.end(), p, p + size);
-}
-
-Status ByteReader::GetLittleEndian(uint64_t* out, int num_bytes) {
-  if (remaining() < static_cast<size_t>(num_bytes)) {
-    return Status::Corruption("truncated integer");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < num_bytes; ++i) {
-    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += num_bytes;
-  *out = v;
-  return Status::Ok();
-}
-
-Status ByteReader::GetU8(uint8_t* out) {
-  uint64_t v;
-  Status s = GetLittleEndian(&v, 1);
-  if (s.ok()) *out = static_cast<uint8_t>(v);
-  return s;
-}
-
-Status ByteReader::GetU16(uint16_t* out) {
-  uint64_t v;
-  Status s = GetLittleEndian(&v, 2);
-  if (s.ok()) *out = static_cast<uint16_t>(v);
-  return s;
-}
-
-Status ByteReader::GetU32(uint32_t* out) {
-  uint64_t v;
-  Status s = GetLittleEndian(&v, 4);
-  if (s.ok()) *out = static_cast<uint32_t>(v);
-  return s;
-}
-
-Status ByteReader::GetU64(uint64_t* out) { return GetLittleEndian(out, 8); }
-
-Status ByteReader::GetI64(int64_t* out) {
-  uint64_t v;
-  Status s = GetU64(&v);
-  if (s.ok()) *out = static_cast<int64_t>(v);
-  return s;
-}
-
-Status ByteReader::GetDouble(double* out) {
-  uint64_t bits;
-  Status s = GetU64(&bits);
-  if (s.ok()) std::memcpy(out, &bits, sizeof(*out));
-  return s;
-}
-
 Status ByteReader::GetVarint(uint64_t* out) {
   uint64_t v = 0;
   int shift = 0;
+  size_t pos = pos_;
   while (true) {
-    if (AtEnd()) return Status::Corruption("truncated varint");
+    if (pos == size_) return Status::Corruption("truncated varint");
     if (shift >= 64) return Status::Corruption("varint too long");
-    uint8_t byte = data_[pos_++];
+    uint8_t byte = data_[pos++];
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }
+  pos_ = pos;
   *out = v;
   return Status::Ok();
 }
 
 Status ByteReader::GetBytes(std::vector<uint8_t>* out) {
-  uint64_t size;
-  Status s = GetVarint(&size);
-  if (!s.ok()) return s;
-  if (remaining() < size) return Status::Corruption("truncated byte string");
-  out->assign(data_ + pos_, data_ + pos_ + size);
-  pos_ += size;
+  std::span<const uint8_t> view;
+  if (Status s = GetBytesView(&view); !s.ok()) return s;
+  out->assign(view.begin(), view.end());
   return Status::Ok();
 }
 
 Status ByteReader::GetBytesView(std::span<const uint8_t>* out) {
+  const size_t start = pos_;
   uint64_t size;
-  Status s = GetVarint(&size);
-  if (!s.ok()) return s;
-  if (remaining() < size) return Status::Corruption("truncated byte string");
+  if (Status s = GetVarint(&size); !s.ok()) return s;
+  if (remaining() < size) {
+    pos_ = start;
+    return Status::Corruption("truncated byte string");
+  }
   *out = std::span<const uint8_t>(data_ + pos_, size);
   pos_ += size;
   return Status::Ok();
 }
 
 Status ByteReader::GetString(std::string* out) {
-  uint64_t size;
-  Status s = GetVarint(&size);
-  if (!s.ok()) return s;
-  if (remaining() < size) return Status::Corruption("truncated string");
-  out->assign(reinterpret_cast<const char*>(data_ + pos_), size);
-  pos_ += size;
+  std::span<const uint8_t> view;
+  if (Status s = GetBytesView(&view); !s.ok()) return s;
+  out->assign(reinterpret_cast<const char*>(view.data()), view.size());
   return Status::Ok();
 }
 

@@ -2,35 +2,33 @@
 #define GEMS_CORE_IO_H_
 
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/status.h"
 
 /// \file
-/// Span-oriented serialization primitives for the zero-copy stack.
+/// Span-oriented serialization for the zero-copy stack.
 ///
 /// The value-returning Serialize()/Deserialize() surface pays one heap
 /// allocation and one full copy per envelope per hop, which is exactly the
 /// overhead Friedman's sketch evaluation found dominating merge-heavy
-/// workloads. This header supplies the two primitives the rest of the stack
-/// is built on instead:
+/// workloads. The stack is built on the one codec in common/bytes.h
+/// (re-exported here) instead:
 ///
 ///  - ByteSink: an append-into-caller-buffer writer. The caller owns the
 ///    destination vector (an arena, a network buffer being assembled, a
 ///    checkpoint body); many sketches can serialize into it back to back
-///    with no per-sketch allocation. The encodings are bit-identical to
-///    ByteWriter's, so a sink-built envelope matches a writer-built one
-///    byte for byte.
-///  - ByteReader (from common/bytes.h, re-exported here): the bounds-checked
-///    span cursor every decoder uses. Combined with ByteSpan and the
-///    *View getters it walks nested envelopes without copying them out.
+///    with no per-sketch allocation.
+///  - ByteWriter: a ByteSink that owns its vector. It has no encoders of
+///    its own, so a writer-built envelope matches a sink-built one byte
+///    for byte.
+///  - ByteReader: the bounds-checked span cursor every decoder uses.
+///    Combined with ByteSpan and the *View getters it walks nested
+///    envelopes without copying them out.
 ///
-/// ByteWriter remains as the convenience owning form; it is now the thin
-/// wrapper (own a vector, sink into it), not the primitive.
+/// Fixed-width values move a word at a time and arrays a column at a time
+/// (PutU64s/GetU64s and their i64 and double twins): one bounds check and
+/// one memcpy on little-endian hosts.
 
 namespace gems {
 
@@ -38,82 +36,6 @@ namespace gems {
 /// every deserialization and wrap entry point: callers holding a vector, an
 /// mmap'd file, or a slice of a ring buffer all pass it without copying.
 using ByteSpan = std::span<const uint8_t>;
-
-/// Append-only encoder writing into a caller-owned buffer. Holds a pointer,
-/// not the storage: cheap to construct per call site, and several sinks may
-/// append to the same arena in sequence (never interleaved).
-///
-/// Offsets returned by size() index the underlying buffer, so a caller can
-/// record where an envelope started (`size_t at = sink.size()`) and later
-/// slice it back out of the arena as a ByteSpan.
-class ByteSink {
- public:
-  explicit ByteSink(std::vector<uint8_t>* buffer) : buffer_(buffer) {}
-
-  void PutU8(uint8_t v) { buffer_->push_back(v); }
-  void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
-  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
-  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
-
-  /// Unsigned LEB128, identical to ByteWriter::PutVarint.
-  void PutVarint(uint64_t v) {
-    while (v >= 0x80) {
-      buffer_->push_back(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buffer_->push_back(static_cast<uint8_t>(v));
-  }
-
-  /// Length-prefixed byte string.
-  void PutBytes(const void* data, size_t size) {
-    PutVarint(size);
-    PutRaw(data, size);
-  }
-  void PutString(const std::string& s) { PutBytes(s.data(), s.size()); }
-
-  /// Raw bytes with no length prefix (caller knows the size).
-  void PutRaw(const void* data, size_t size) {
-    if (size == 0) return;
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buffer_->insert(buffer_->end(), p, p + size);
-  }
-
-  /// Overwrites previously written bytes in place — how envelope headers
-  /// backfill the payload length and checksum once the payload is known,
-  /// without buffering the payload separately. `offset` + width must be
-  /// within what has already been written.
-  void PatchU32(size_t offset, uint32_t v) { PatchLittleEndian(offset, v, 4); }
-  void PatchU64(size_t offset, uint64_t v) { PatchLittleEndian(offset, v, 8); }
-
-  /// Current end of the underlying buffer: the offset the next Put lands at.
-  size_t size() const { return buffer_->size(); }
-
-  /// Borrowed view of a slice written earlier (e.g. one finished envelope).
-  /// Invalidated by further appends, like any vector iterator.
-  ByteSpan Slice(size_t offset, size_t length) const {
-    return ByteSpan(buffer_->data() + offset, length);
-  }
-
- private:
-  void PutLittleEndian(uint64_t v, int num_bytes) {
-    for (int i = 0; i < num_bytes; ++i) {
-      buffer_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void PatchLittleEndian(size_t offset, uint64_t v, int num_bytes) {
-    for (int i = 0; i < num_bytes; ++i) {
-      (*buffer_)[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-
-  std::vector<uint8_t>* buffer_;
-};
 
 }  // namespace gems
 

@@ -1,7 +1,5 @@
 #include "core/wire.h"
 
-#include <cstring>
-
 #include "hash/xxhash.h"
 
 namespace gems {
@@ -14,20 +12,6 @@ uint64_t EnvelopeChecksum(const uint8_t* header12, const uint8_t* payload,
                           size_t payload_size) {
   const uint64_t header_seed = XxHash64(header12, 12, kWireChecksumSeed);
   return XxHash64(payload, payload_size, header_seed);
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint16_t LoadU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | p[1] << 8);
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
 }
 
 }  // namespace
@@ -111,10 +95,10 @@ Result<EnvelopeView> ParseEnvelope(const uint8_t* data, size_t size,
   if (data == nullptr || size < kWireHeaderSize) {
     return Status::Corruption("sketch envelope truncated: header incomplete");
   }
-  if (LoadU32(data) != kWireMagic) {
+  if (LoadLittleEndian<uint32_t>(data) != kWireMagic) {
     return Status::Corruption("sketch envelope: bad magic");
   }
-  const uint16_t raw_type = LoadU16(data + 4);
+  const uint16_t raw_type = LoadLittleEndian<uint16_t>(data + 4);
   if (!IsKnownSketchTypeId(raw_type)) {
     return Status::Corruption("sketch envelope: unknown sketch type id " +
                               std::to_string(raw_type));
@@ -132,7 +116,7 @@ Result<EnvelopeView> ParseEnvelope(const uint8_t* data, size_t size,
   if (view.flags != 0) {
     return Status::Corruption("sketch envelope: unknown flag bits set");
   }
-  view.payload_size = LoadU32(data + 8);
+  view.payload_size = LoadLittleEndian<uint32_t>(data + 8);
   if (size - kWireHeaderSize < view.payload_size) {
     return Status::Corruption("sketch envelope truncated: payload incomplete");
   }
@@ -141,7 +125,7 @@ Result<EnvelopeView> ParseEnvelope(const uint8_t* data, size_t size,
   }
   view.payload = data + kWireHeaderSize;
   if (verify == EnvelopeVerify::kFull) {
-    const uint64_t expected = LoadU64(data + 12);
+    const uint64_t expected = LoadLittleEndian<uint64_t>(data + 12);
     const uint64_t actual =
         EnvelopeChecksum(data, view.payload, view.payload_size);
     if (expected != actual) {

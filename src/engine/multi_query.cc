@@ -41,7 +41,7 @@ std::string CanonicalKey(const StreamQuery::Options& options,
   w.PutU32(knobs.kll_k);
   if (options.aggregate == AggregateKind::kQuantiles) {
     w.PutVarint(options.quantile_points.size());
-    for (double q : options.quantile_points) w.PutDouble(q);
+    w.PutDoubles(options.quantile_points);
   }
   w.PutVarint(filters.size());
   for (size_t f : filters) w.PutVarint(f);
@@ -257,13 +257,8 @@ std::vector<uint8_t> MultiQueryEngine::SerializeState() const {
     w.PutVarint(view.group);
     w.PutU64(view.cursor);
   }
-  std::vector<uint8_t> body = std::move(w).TakeBytes();
-  const uint64_t checksum =
-      XxHash64(body.data(), body.size(), kEngineChecksumSeed);
-  for (int shift = 0; shift < 64; shift += 8) {
-    body.push_back(static_cast<uint8_t>(checksum >> shift));
-  }
-  return body;
+  w.PutU64(XxHash64(w.bytes().data(), w.bytes().size(), kEngineChecksumSeed));
+  return std::move(w).TakeBytes();
 }
 
 Status MultiQueryEngine::RestoreState(std::span<const uint8_t> bytes) {
@@ -271,10 +266,7 @@ Status MultiQueryEngine::RestoreState(std::span<const uint8_t> bytes) {
     return Status::Corruption("multi-query checkpoint: too short");
   }
   const size_t body_size = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(bytes[body_size + i]) << (8 * i);
-  }
+  const uint64_t stored = LoadLittleEndian<uint64_t>(bytes.data() + body_size);
   if (XxHash64(bytes.data(), body_size, kEngineChecksumSeed) != stored) {
     return Status::Corruption("multi-query checkpoint: checksum mismatch");
   }

@@ -174,7 +174,7 @@ Status Get(ByteReader& r, PaneRing<S>& ring) {
   if (Status s = r.GetU64(&last_timestamp); !s.ok()) return s;
   if (Status s = r.GetVarint(&count); !s.ok()) return s;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id;
+    uint64_t id = 0;
     S pane = ring.prototype();
     if (Status s = r.GetU64(&id); !s.ok()) return s;
     // The ring merges its panes with GEMS_CHECK, so a pane that cannot
@@ -233,7 +233,7 @@ void SerializeWindows(ByteWriter& w, const std::deque<WindowResult>& windows) {
         w.PutI64(count);
       }
       w.PutVarint(aggregate.quantiles.size());
-      for (double q : aggregate.quantiles) w.PutDouble(q);
+      w.PutDoubles(aggregate.quantiles);
     }
   }
 }
@@ -255,17 +255,16 @@ Status DeserializeWindows(ByteReader& r, std::deque<WindowResult>* out) {
       if (Status s = r.GetDouble(&aggregate_row.scalar); !s.ok()) return s;
       if (Status s = r.GetVarint(&num_top); !s.ok()) return s;
       for (uint64_t t = 0; t < num_top; ++t) {
-        uint64_t item;
-        int64_t count;
+        uint64_t item = 0;
+        int64_t count = 0;
         if (Status s = r.GetU64(&item); !s.ok()) return s;
         if (Status s = r.GetI64(&count); !s.ok()) return s;
         aggregate_row.top_items.emplace_back(item, count);
       }
       if (Status s = r.GetVarint(&num_quantiles); !s.ok()) return s;
-      for (uint64_t q = 0; q < num_quantiles; ++q) {
-        double value;
-        if (Status s = r.GetDouble(&value); !s.ok()) return s;
-        aggregate_row.quantiles.push_back(value);
+      if (Status s = r.GetDoubles(num_quantiles, &aggregate_row.quantiles);
+          !s.ok()) {
+        return s;
       }
       window.groups.push_back(std::move(aggregate_row));
     }
@@ -730,13 +729,9 @@ std::vector<uint8_t> StreamQuery::SerializeState() const {
   }
   // Closed-but-unpolled windows (already materialized results).
   engine_detail::SerializeWindows(w, closed_);
-  std::vector<uint8_t> body = std::move(w).TakeBytes();
-  const uint64_t checksum =
-      XxHash64(body.data(), body.size(), kCheckpointChecksumSeed);
-  for (int shift = 0; shift < 64; shift += 8) {
-    body.push_back(static_cast<uint8_t>(checksum >> shift));
-  }
-  return body;
+  w.PutU64(XxHash64(w.bytes().data(), w.bytes().size(),
+                    kCheckpointChecksumSeed));
+  return std::move(w).TakeBytes();
 }
 
 Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
@@ -744,16 +739,13 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
     return Status::Corruption("stream query checkpoint: too short");
   }
   const size_t body_size = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(bytes[body_size + i]) << (8 * i);
-  }
+  const uint64_t stored = LoadLittleEndian<uint64_t>(bytes.data() + body_size);
   if (XxHash64(bytes.data(), body_size, kCheckpointChecksumSeed) != stored) {
     return Status::Corruption("stream query checkpoint: checksum mismatch");
   }
   ByteReader r(bytes.data(), body_size);
-  uint32_t magic;
-  uint8_t version;
+  uint32_t magic = 0;
+  uint8_t version = 0;
   if (Status s = r.GetU32(&magic); !s.ok()) return s;
   if (magic != kCheckpointMagic) {
     return Status::Corruption("stream query checkpoint: bad magic");

@@ -522,6 +522,11 @@ Result<CountMinSketch> CountMinSketch::Deserialize(
       static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
     return Status::Corruption("invalid CountMin shape");
   }
+  // Every counter is a varint of at least one byte.
+  if (Status sv = r.CheckColumn(static_cast<uint64_t>(width) * depth, 1);
+      !sv.ok()) {
+    return sv;
+  }
   CountMinSketch sketch(width, depth, seed, conservative != 0);
   sketch.total_ = total;
   for (uint64_t& counter : sketch.counters_) {

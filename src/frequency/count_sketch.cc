@@ -263,7 +263,9 @@ Status CountSketch::MergeFromView(const View<CountSketch>& view) {
     return Status::InvalidArgument(
         "CountSketch merge requires identical shape, seed, and layout");
   }
-  ByteReader counters(raw);
+  const auto counter = [&raw](size_t i) {
+    return static_cast<int64_t>(LoadLittleEndian<uint64_t>(raw.data() + 8 * i));
+  };
   if (layout_ == SketchLayout::kBlocked) {
     // The wire walks the logical flat matrix row-major; flat column
     // b*cols_+j of row r lives at slot b*8 + r*cols_ + j here.
@@ -271,19 +273,14 @@ Status CountSketch::MergeFromView(const View<CountSketch>& view) {
     const uint32_t col_mask = cols_ - 1;
     for (uint32_t row = 0; row < depth_; ++row) {
       for (uint32_t col = 0; col < width_; ++col) {
-        int64_t counter;
-        if (Status sv = counters.GetI64(&counter); !sv.ok()) return sv;
         counters_[(static_cast<uint64_t>(col >> col_shift) * kCmBlockSlots) +
-                  row * cols_ + (col & col_mask)] += counter;
+                  row * cols_ + (col & col_mask)] +=
+            counter(static_cast<size_t>(row) * width_ + col);
       }
     }
     return Status::Ok();
   }
-  for (int64_t& ours : counters_) {
-    int64_t counter;
-    if (Status sv = counters.GetI64(&counter); !sv.ok()) return sv;
-    ours += counter;
-  }
+  for (size_t i = 0; i < counters_.size(); ++i) counters_[i] += counter(i);
   return Status::Ok();
 }
 
@@ -318,7 +315,7 @@ void CountSketch::SerializeTo(ByteSink& sink) const {
     sink.PutU8(1);
     return;
   }
-  for (int64_t counter : counters_) sink.PutI64(counter);
+  sink.PutI64s(counters_);
 }
 
 Result<CountSketch> CountSketch::Deserialize(
@@ -335,10 +332,12 @@ Result<CountSketch> CountSketch::Deserialize(
       static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
     return Status::Corruption("invalid CountSketch shape");
   }
-  CountSketch sketch(width, depth, seed);
-  for (int64_t& counter : sketch.counters_) {
-    if (Status sv = r.GetI64(&counter); !sv.ok()) return sv;
+  if (Status sv = r.CheckColumn(static_cast<uint64_t>(width) * depth, 8);
+      !sv.ok()) {
+    return sv;
   }
+  CountSketch sketch(width, depth, seed);
+  if (Status sv = r.GetI64s(sketch.counters_); !sv.ok()) return sv;
   // Optional trailing layout byte (see SerializeTo): absent or 0 is the
   // flat fast path above; 1 re-permutes the flat counters into a blocked
   // sketch.

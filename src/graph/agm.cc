@@ -8,6 +8,25 @@
 #include "hash/hash.h"
 
 namespace gems {
+namespace {
+
+/// Every sampler's options: levels sized to the edge-id universe n^2 plus
+/// slack, at most 48.
+L0Sampler::Options SamplerOptions(uint32_t num_vertices,
+                                  const AgmSketch::Options& options) {
+  L0Sampler::Options sampler_options;
+  sampler_options.sparsity = options.sparsity;
+  sampler_options.num_rows = options.num_rows;
+  int levels = 2;
+  while (levels < 44 && (uint64_t{1} << levels) <
+                            static_cast<uint64_t>(num_vertices) * num_vertices) {
+    ++levels;
+  }
+  sampler_options.num_levels = levels + 4;
+  return sampler_options;
+}
+
+}  // namespace
 
 AgmSketch::AgmSketch(uint32_t num_vertices, uint64_t seed)
     : AgmSketch(num_vertices, seed, Options()) {}
@@ -17,17 +36,8 @@ AgmSketch::AgmSketch(uint32_t num_vertices, uint64_t seed,
     : num_vertices_(num_vertices), seed_(seed), options_(options) {
   GEMS_CHECK(num_vertices >= 2);
   GEMS_CHECK(options.num_copies >= 1);
-  // Levels sized to the edge-id universe n^2 plus slack.
-  L0Sampler::Options sampler_options;
-  sampler_options.sparsity = options.sparsity;
-  sampler_options.num_rows = options.num_rows;
-  int levels = 2;
-  while ((uint64_t{1} << levels) <
-         static_cast<uint64_t>(num_vertices) * num_vertices) {
-    ++levels;
-  }
-  sampler_options.num_levels = std::min(levels + 4, 48);
-
+  const L0Sampler::Options sampler_options =
+      SamplerOptions(num_vertices, options);
   samplers_.reserve(static_cast<size_t>(options.num_copies) * num_vertices);
   for (int copy = 0; copy < options.num_copies; ++copy) {
     for (uint32_t vertex = 0; vertex < num_vertices; ++vertex) {
@@ -182,6 +192,12 @@ Result<AgmSketch> AgmSketch::Deserialize(std::span<const uint8_t> bytes) {
   options.num_copies = static_cast<int>(num_copies);
   options.sparsity = sparsity;
   options.num_rows = num_rows;
+  if (Status sc = r.CheckColumn(
+          num_copies * num_vertices,
+          L0Sampler::MinEncodedBytes(SamplerOptions(num_vertices, options)));
+      !sc.ok()) {
+    return sc;
+  }
   AgmSketch sketch(num_vertices, seed, options);
   for (L0Sampler& sampler : sketch.samplers_) {
     if (Status sd = sampler.DecodeFrom(&r); !sd.ok()) return sd;

@@ -82,7 +82,7 @@ std::vector<uint8_t> BlockedBloomFilter::Serialize() const {
   w.PutU64(num_blocks_);
   w.PutU8(static_cast<uint8_t>(num_hashes_));
   w.PutU64(seed_);
-  for (uint64_t word : words_) w.PutU64(word);
+  w.PutU64s(words_);
   return WrapEnvelope(SketchTypeId::kBlockedBloomFilter,
                       std::move(w).TakeBytes());
 }
@@ -101,10 +101,11 @@ Result<BlockedBloomFilter> BlockedBloomFilter::Deserialize(
       num_hashes > 16) {
     return Status::Corruption("invalid BlockedBloom shape");
   }
-  BlockedBloomFilter filter(num_blocks * 512, num_hashes, seed);
-  for (uint64_t& word : filter.words_) {
-    if (Status sw = r.GetU64(&word); !sw.ok()) return sw;
+  if (Status sw = r.CheckColumn(num_blocks * kWordsPerBlock, 8); !sw.ok()) {
+    return sw;
   }
+  BlockedBloomFilter filter(num_blocks * 512, num_hashes, seed);
+  if (Status sw = r.GetU64s(filter.words_); !sw.ok()) return sw;
   return filter;
 }
 

@@ -184,7 +184,7 @@ Status BloomFilter::MergeFromView(const View<BloomFilter>& view) {
   if (Status sh = r.GetU8(&num_hashes); !sh.ok()) return sh;
   if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
   if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (uint64_t{1} << 40) ||
-      num_hashes < 1) {
+      num_hashes < 1 || num_hashes > 64) {
     return Status::Corruption("invalid Bloom filter shape");
   }
   // Claim the whole word array up front: a payload shorter than the
@@ -196,11 +196,8 @@ Status BloomFilter::MergeFromView(const View<BloomFilter>& view) {
     return Status::InvalidArgument(
         "Bloom merge requires identical shape and seed");
   }
-  ByteReader words(raw);
-  for (uint64_t& ours : bits_) {
-    uint64_t word;
-    if (Status sw = words.GetU64(&word); !sw.ok()) return sw;
-    ours |= word;
+  for (size_t i = 0; i < bits_.size(); ++i) {
+    bits_[i] |= LoadLittleEndian<uint64_t>(raw.data() + 8 * i);
   }
   return Status::Ok();
 }
@@ -218,7 +215,7 @@ void BloomFilter::SerializeTo(ByteSink& sink) const {
   sink.PutU64(num_bits_);
   sink.PutU8(static_cast<uint8_t>(num_hashes_));
   sink.PutU64(seed_);
-  for (uint64_t word : bits_) sink.PutU64(word);
+  sink.PutU64s(bits_);
 }
 
 Result<BloomFilter> BloomFilter::Deserialize(
@@ -232,13 +229,12 @@ Result<BloomFilter> BloomFilter::Deserialize(
   if (Status sh = r.GetU8(&num_hashes); !sh.ok()) return sh;
   if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
   if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (uint64_t{1} << 40) ||
-      num_hashes < 1) {
+      num_hashes < 1 || num_hashes > 64) {
     return Status::Corruption("invalid Bloom filter shape");
   }
+  if (Status sw = r.CheckColumn(num_bits / 64, 8); !sw.ok()) return sw;
   BloomFilter filter(num_bits, num_hashes, seed);
-  for (uint64_t& word : filter.bits_) {
-    if (Status sw = r.GetU64(&word); !sw.ok()) return sw;
-  }
+  if (Status sw = r.GetU64s(filter.bits_); !sw.ok()) return sw;
   return filter;
 }
 

@@ -87,9 +87,10 @@ Result<CountingBloomFilter> CountingBloomFilter::Deserialize(
   if (Status sh = r.GetU8(&num_hashes); !sh.ok()) return sh;
   if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
   if (num_counters == 0 || num_counters > (uint64_t{1} << 36) ||
-      num_hashes < 1) {
+      num_hashes < 1 || num_hashes > 64) {
     return Status::Corruption("invalid CountingBloom shape");
   }
+  if (Status sr = r.CheckColumn(num_counters, 1); !sr.ok()) return sr;
   CountingBloomFilter filter(num_counters, num_hashes, seed);
   if (Status sr = r.GetRaw(filter.counters_.data(), filter.counters_.size());
       !sr.ok()) {

@@ -129,7 +129,7 @@ std::vector<uint8_t> AmsSketch::Serialize() const {
   w.PutU32(s1_);
   w.PutU32(s2_);
   w.PutU64(seed_);
-  for (int64_t counter : counters_) w.PutI64(counter);
+  w.PutI64s(counters_);
   return WrapEnvelope(SketchTypeId::kAmsSketch,
                       std::move(w).TakeBytes());
 }
@@ -147,10 +147,12 @@ Result<AmsSketch> AmsSketch::Deserialize(std::span<const uint8_t> bytes) {
       static_cast<uint64_t>(s1) * s2 > (uint64_t{1} << 24)) {
     return Status::Corruption("invalid AMS shape");
   }
-  AmsSketch sketch(s1, s2, seed);
-  for (int64_t& counter : sketch.counters_) {
-    if (Status sv = r.GetI64(&counter); !sv.ok()) return sv;
+  if (Status sv = r.CheckColumn(static_cast<uint64_t>(s1) * s2, 8);
+      !sv.ok()) {
+    return sv;
   }
+  AmsSketch sketch(s1, s2, seed);
+  if (Status sv = r.GetI64s(sketch.counters_); !sv.ok()) return sv;
   return sketch;
 }
 

@@ -113,9 +113,14 @@ Result<GreenwaldKhanna> GreenwaldKhanna::Deserialize(
   if (Status se = r.GetDouble(&epsilon); !se.ok()) return se;
   if (Status sc = r.GetU64(&count); !sc.ok()) return sc;
   if (Status sn = r.GetVarint(&num_tuples); !sn.ok()) return sn;
-  if (!(epsilon > 0.0 && epsilon < 0.5) || num_tuples > count) {
+  // A non-empty summary always keeps at least one tuple; Quantile reads
+  // the last one.
+  if (!(epsilon > 0.0 && epsilon < 0.5) || num_tuples > count ||
+      (count != 0 && num_tuples == 0)) {
     return Status::Corruption("invalid GK header");
   }
+  // A tuple is a double and two varints: at least ten bytes.
+  if (Status sn = r.CheckColumn(num_tuples, 10); !sn.ok()) return sn;
   GreenwaldKhanna gk(epsilon);
   gk.count_ = count;
   gk.tuples_.resize(num_tuples);

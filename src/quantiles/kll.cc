@@ -215,7 +215,7 @@ void KllSketch::SerializeTo(ByteSink& sink) const {
   sink.PutVarint(compactors_.size());
   for (const std::vector<double>& compactor : compactors_) {
     sink.PutVarint(compactor.size());
-    for (double item : compactor) sink.PutDouble(item);
+    sink.PutDoubles(compactor);
   }
 }
 
@@ -239,10 +239,17 @@ Result<KllSketch> KllSketch::Deserialize(std::span<const uint8_t> bytes) {
     uint64_t size;
     if (Status ss = r.GetVarint(&size); !ss.ok()) return ss;
     if (size > count + 1) return Status::Corruption("KLL level too large");
-    sketch.compactors_[level].resize(size);
-    for (double& item : sketch.compactors_[level]) {
-      if (Status sd = r.GetDouble(&item); !sd.ok()) return sd;
+    if (Status sd = r.GetDoubles(size, &sketch.compactors_[level]); !sd.ok()) {
+      return sd;
     }
+    // Quantiles sorts the items; a NaN breaks the sort's ordering.
+    for (double item : sketch.compactors_[level]) {
+      if (std::isnan(item)) return Status::Corruption("KLL item is NaN");
+    }
+  }
+  // Quantiles reads a retained item whenever the count is nonzero.
+  if (count != 0 && sketch.NumRetained() == 0) {
+    return Status::Corruption("KLL count without retained items");
   }
   return sketch;
 }

@@ -163,7 +163,9 @@ Result<QDigest> QDigest::Deserialize(std::span<const uint8_t> bytes) {
   if (Status sc = r.GetU64(&compression); !sc.ok()) return sc;
   if (Status sn = r.GetU64(&count); !sn.ok()) return sn;
   if (Status sz = r.GetVarint(&num_nodes); !sz.ok()) return sz;
-  if (universe_bits < 1 || universe_bits > 48 || compression < 1) {
+  // A non-empty digest always holds a node; Quantile reads the last one.
+  if (universe_bits < 1 || universe_bits > 48 || compression < 1 ||
+      (count != 0 && num_nodes == 0)) {
     return Status::Corruption("invalid QDigest header");
   }
   QDigest digest(universe_bits, compression);

@@ -183,6 +183,12 @@ Result<TDigest> TDigest::Deserialize(std::span<const uint8_t> bytes) {
   if (!(compression >= 20.0)) {
     return Status::Corruption("invalid t-digest compression");
   }
+  // A digest that has seen weight holds a centroid; Quantile reads one.
+  if (total != 0 && num_centroids == 0) {
+    return Status::Corruption("t-digest weight without centroids");
+  }
+  // A centroid is two doubles.
+  if (Status sn = r.CheckColumn(num_centroids, 16); !sn.ok()) return sn;
   TDigest digest(compression);
   digest.min_ = min_value;
   digest.max_ = max_value;

@@ -15,6 +15,14 @@ namespace {
 
 constexpr uint64_t kPrime = KWiseHash::kPrime;  // 2^61 - 1.
 
+/// OneSparseRecovery::EncodeTo writes five 8-byte words per cell.
+constexpr size_t kCellBytes = 40;
+
+/// Cells of a SparseRecovery: num_rows rows of max(2, 2s) buckets.
+uint64_t NumCells(uint64_t sparsity, uint64_t num_rows) {
+  return num_rows * std::max<uint64_t>(2, 2 * sparsity);
+}
+
 inline uint64_t MulMod(uint64_t a, uint64_t b) {
   const unsigned __int128 product =
       static_cast<unsigned __int128>(a) * static_cast<unsigned __int128>(b);
@@ -285,6 +293,10 @@ Status SparseRecovery::DecodeFrom(ByteReader* reader) {
       num_rows > 64) {
     return Status::Corruption("invalid SparseRecovery shape");
   }
+  if (Status s = reader->CheckColumn(NumCells(sparsity, num_rows), kCellBytes);
+      !s.ok()) {
+    return s;
+  }
   *this = SparseRecovery(sparsity, seed, num_rows);
   for (OneSparseRecovery& cell : cells_) {
     if (Status s = cell.DecodeFrom(reader); !s.ok()) return s;
@@ -314,11 +326,21 @@ Status L0Sampler::DecodeFrom(ByteReader* reader) {
   options.sparsity = sparsity;
   options.num_levels = static_cast<int>(num_levels);
   options.num_rows = num_rows;
+  if (Status s = reader->CheckColumn(
+          num_levels, NumCells(sparsity, num_rows) * kCellBytes);
+      !s.ok()) {
+    return s;
+  }
   *this = L0Sampler(seed, options);
   for (SparseRecovery& level : levels_) {
     if (Status s = level.DecodeFrom(reader); !s.ok()) return s;
   }
   return Status::Ok();
+}
+
+uint64_t L0Sampler::MinEncodedBytes(const Options& options) {
+  return static_cast<uint64_t>(options.num_levels) *
+         NumCells(options.sparsity, options.num_rows) * kCellBytes;
 }
 
 std::vector<uint8_t> L0Sampler::Serialize() const {

@@ -141,6 +141,10 @@ class L0Sampler {
   void EncodeTo(ByteWriter* writer) const;
   Status DecodeFrom(ByteReader* reader);
 
+  /// Fewest bytes EncodeTo writes for a sampler with `options`. A decoder
+  /// checks it against the remaining payload before it allocates one.
+  static uint64_t MinEncodedBytes(const Options& options);
+
   static constexpr int kNumLevels = 48;
 
  private:

@@ -11,7 +11,6 @@ namespace gems {
 ReservoirSampler::ReservoirSampler(size_t k, uint64_t seed)
     : k_(k), rng_(seed) {
   GEMS_CHECK(k >= 1);
-  sample_.reserve(k);
 }
 
 void ReservoirSampler::Update(uint64_t item) {
@@ -95,7 +94,7 @@ void ReservoirSampler::SerializeTo(ByteSink& sink) const {
   sink.PutVarint(k_);
   sink.PutU64(seen_);
   sink.PutVarint(sample_.size());
-  for (uint64_t item : sample_) sink.PutU64(item);
+  sink.PutU64s(sample_);
 }
 
 Result<ReservoirSampler> ReservoirSampler::Deserialize(
@@ -112,10 +111,7 @@ Result<ReservoirSampler> ReservoirSampler::Deserialize(
   }
   ReservoirSampler sampler(k, seen ^ 0x5EED);
   sampler.seen_ = seen;
-  sampler.sample_.resize(size);
-  for (uint64_t& item : sampler.sample_) {
-    if (Status si = r.GetU64(&item); !si.ok()) return si;
-  }
+  if (Status si = r.GetU64s(size, &sampler.sample_); !si.ok()) return si;
   return sampler;
 }
 

@@ -205,6 +205,12 @@ Status Keyspace::Restore(ByteSpan image) {
   }
   uint32_t count = 0;
   if (Status s = reader.GetU32(&count); !s.ok()) return s;
+  // An entry is at least a key's length byte, the envelope length and an
+  // envelope header; checked before the reserve below.
+  if (Status s = reader.CheckColumn(count, 1 + 4 + kWireHeaderSize);
+      !s.ok()) {
+    return s;
+  }
 
   // Parse and rebuild everything before touching live state, so a corrupt
   // image cannot leave the keyspace half-replaced.

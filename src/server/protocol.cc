@@ -58,12 +58,7 @@ Status SplitFrame(ByteSpan input, uint32_t max_frame_bytes, ByteSpan* body,
                   size_t* consumed, size_t* frame_bytes) {
   *consumed = 0;
   if (input.size() < kFramePrefixSize) return Status::Ok();
-  // The prefix is little-endian on the wire; reassemble portably.
-  const uint32_t length =
-      static_cast<uint32_t>(input[0]) |
-           static_cast<uint32_t>(input[1]) << 8 |
-           static_cast<uint32_t>(input[2]) << 16 |
-           static_cast<uint32_t>(input[3]) << 24;
+  const uint32_t length = LoadLittleEndian<uint32_t>(input.data());
   if (length == 0) {
     return Status::InvalidArgument("zero-length gemsd frame");
   }
@@ -116,12 +111,12 @@ void EncodeRequest(const Request& request, std::vector<uint8_t>* out) {
     case Opcode::kUpdate:
       sink.PutString(request.key);
       sink.PutU32(static_cast<uint32_t>(request.items.size()));
-      for (uint64_t item : request.items) sink.PutU64(item);
+      sink.PutU64s(request.items);
       // Timestamp column, tail extension like kCreate's params: absent
       // entirely for an untimed update.
       if (!request.timestamps.empty()) {
         sink.PutU8(1);
-        for (uint64_t timestamp : request.timestamps) sink.PutU64(timestamp);
+        sink.PutU64s(request.timestamps);
       }
       break;
     case Opcode::kMerge:
@@ -197,13 +192,7 @@ Status DecodeRequest(ByteSpan body, Request* out,
       if (Status s = reader.GetString(&out->key); !s.ok()) return s;
       uint32_t count = 0;
       if (Status s = reader.GetU32(&count); !s.ok()) return s;
-      if (static_cast<size_t>(count) * 8 > reader.remaining()) {
-        return Status::Corruption("update item count exceeds frame");
-      }
-      items_scratch->resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        if (Status s = reader.GetU64(&(*items_scratch)[i]); !s.ok()) return s;
-      }
+      if (Status s = reader.GetU64s(count, items_scratch); !s.ok()) return s;
       out->items = std::span<const uint64_t>(*items_scratch);
       if (reader.AtEnd()) break;  // Old-style frame: no timestamp tail.
       uint8_t has_timestamps = 0;
@@ -212,14 +201,8 @@ Status DecodeRequest(ByteSpan body, Request* out,
         return Status::Corruption("update timestamp flag must be 0 or 1");
       }
       if (has_timestamps != 0) {
-        if (static_cast<size_t>(count) * 8 > reader.remaining()) {
-          return Status::Corruption("update timestamp column exceeds frame");
-        }
-        timestamps_scratch->resize(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          if (Status s = reader.GetU64(&(*timestamps_scratch)[i]); !s.ok()) {
-            return s;
-          }
+        if (Status s = reader.GetU64s(count, timestamps_scratch); !s.ok()) {
+          return s;
         }
         out->timestamps = std::span<const uint64_t>(*timestamps_scratch);
       }
@@ -337,9 +320,7 @@ Status DecodeResponse(ByteSpan body, Response* out) {
         uint32_t count = 0;
         if (Status s = reader.GetU32(&count); !s.ok()) return s;
         // Two one-byte strings minimum per entry bounds hostile counts.
-        if (static_cast<size_t>(count) * 2 > reader.remaining()) {
-          return Status::Corruption("list entry count exceeds frame");
-        }
+        if (Status s = reader.CheckColumn(count, 2); !s.ok()) return s;
         out->entries.reserve(count);
         for (uint32_t i = 0; i < count; ++i) {
           ListEntry entry;

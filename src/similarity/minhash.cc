@@ -67,7 +67,7 @@ std::vector<uint8_t> MinHashSketch::Serialize() const {
   ByteWriter w;
   w.PutU32(k_);
   w.PutU64(seed_);
-  for (uint64_t coordinate : signature_) w.PutU64(coordinate);
+  w.PutU64s(signature_);
   return WrapEnvelope(SketchTypeId::kMinHash,
                       std::move(w).TakeBytes());
 }
@@ -84,10 +84,9 @@ Result<MinHashSketch> MinHashSketch::Deserialize(
   if (k == 0 || k > (1u << 20)) {
     return Status::Corruption("invalid MinHash k");
   }
+  if (Status sc = r.CheckColumn(k, 8); !sc.ok()) return sc;
   MinHashSketch sketch(k, seed);
-  for (uint64_t& coordinate : sketch.signature_) {
-    if (Status sc = r.GetU64(&coordinate); !sc.ok()) return sc;
-  }
+  if (Status sc = r.GetU64s(sketch.signature_); !sc.ok()) return sc;
   return sketch;
 }
 

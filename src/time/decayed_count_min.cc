@@ -201,8 +201,8 @@ Result<DecayedCountMin> DecayedCountMin::Deserialize(
     return Status::Corruption("decayed CM: counter matrix size mismatch");
   }
   DecayedCountMin sketch(width, depth, half_life, seed);
-  for (double& counter : sketch.counters_) {
-    if (Status s = reader.GetDouble(&counter); !s.ok()) return s;
+  if (Status s = reader.GetDoubles(sketch.counters_); !s.ok()) return s;
+  for (const double counter : sketch.counters_) {
     if (!std::isfinite(counter) || counter < 0.0) {
       return Status::Corruption("decayed CM: bad counter");
     }

@@ -13,6 +13,18 @@ namespace {
 
 constexpr size_t kMaxPanes = 1u << 20;
 
+/// The ring keeps three pane-shaped matrices (prototype, closed-pane
+/// merge, window memo) that no payload bytes back, so a restored shape is
+/// capped: 2^22 cells is 32 MiB per matrix.
+constexpr uint64_t kMaxPaneCells = uint64_t{1} << 22;
+
+/// Fewest bytes a serialized pane of `cells` counters takes: its id and
+/// length, the envelope header, Count-Min's fixed fields, and one varint
+/// byte per counter.
+uint64_t MinPaneBytes(uint64_t cells) {
+  return 8 + 4 + kWireHeaderSize + 25 + cells;
+}
+
 }  // namespace
 
 SlidingCountMin::SlidingCountMin(uint32_t width, uint32_t depth,
@@ -152,7 +164,8 @@ Result<SlidingCountMin> SlidingCountMin::Deserialize(
   if (Status s = reader.GetU8(&started); !s.ok()) return s;
   if (Status s = reader.GetU64(&last_timestamp); !s.ok()) return s;
   if (Status s = reader.GetU32(&pane_count); !s.ok()) return s;
-  if (width == 0 || depth == 0) {
+  if (width == 0 || depth == 0 ||
+      static_cast<uint64_t>(width) * depth > kMaxPaneCells) {
     return Status::Corruption("sliding CM: bad shape");
   }
   if (pane_width == 0 || num_panes == 0 || num_panes > kMaxPanes) {
@@ -161,6 +174,11 @@ Result<SlidingCountMin> SlidingCountMin::Deserialize(
   if (started > 1 || pane_count > num_panes ||
       (started == 0) != (pane_count == 0)) {
     return Status::Corruption("sliding CM: inconsistent ring state");
+  }
+  if (Status s = reader.CheckColumn(
+          pane_count, MinPaneBytes(static_cast<uint64_t>(width) * depth));
+      !s.ok()) {
+    return s;
   }
   SlidingCountMin sketch(width, depth, pane_width, num_panes, seed);
   for (uint32_t i = 0; i < pane_count; ++i) {

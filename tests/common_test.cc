@@ -220,6 +220,197 @@ TEST(BytesTest, LengthPrefixLyingAboutSizeFails) {
   EXPECT_EQ(r.GetString(&s).code(), StatusCode::kCorruption);
 }
 
+// The wire contract, pinned as hand-written bytes so that every host —
+// including one that takes the big-endian branch — is held to the same
+// little-endian layout.
+TEST(BytesTest, FixedWidthPutsWriteLittleEndianBytes) {
+  ByteWriter w;
+  w.PutU8(0xAB);
+  w.PutU16(0xBEEF);
+  w.PutU32(0xDEADBEEF);
+  w.PutU64(0x0123456789ABCDEFULL);
+  w.PutI64(-2);
+  w.PutDouble(1.0);  // IEEE-754 0x3FF0000000000000.
+  const std::vector<uint8_t> expected = {
+      0xAB,                                            // u8
+      0xEF, 0xBE,                                      // u16
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // double
+  };
+  EXPECT_EQ(w.bytes(), expected);
+}
+
+TEST(BytesTest, LoadAndStoreHelpersAreLittleEndian) {
+  const uint8_t bytes[8] = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+  EXPECT_EQ(LoadLittleEndian<uint16_t>(bytes), 0x0201u);
+  EXPECT_EQ(LoadLittleEndian<uint32_t>(bytes), 0x04030201u);
+  EXPECT_EQ(LoadLittleEndian<uint64_t>(bytes), 0x0807060504030201ULL);
+  uint8_t out[8] = {};
+  StoreLittleEndian<uint64_t>(out, 0x0807060504030201ULL);
+  EXPECT_EQ(std::vector<uint8_t>(out, out + 8),
+            std::vector<uint8_t>(bytes, bytes + 8));
+  StoreLittleEndian<uint32_t>(out, 0xA1B2C3D4u);
+  EXPECT_EQ(std::vector<uint8_t>(out, out + 4),
+            (std::vector<uint8_t>{0xD4, 0xC3, 0xB2, 0xA1}));
+}
+
+TEST(BytesTest, ColumnPutsWriteLittleEndianBytes) {
+  const std::vector<uint64_t> words = {0x0123456789ABCDEFULL, 1};
+  const std::vector<int64_t> counters = {-1, 256};
+  const std::vector<double> points = {-2.0, 0.5};
+  ByteWriter w;
+  w.PutU64s(words);
+  w.PutI64s(counters);
+  w.PutDoubles(points);
+  w.PutU64s({});  // An empty column writes nothing.
+  const std::vector<uint8_t> expected = {
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // words[0]
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // words[1]
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // counters[0]
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // counters[1]
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0,  // points[0]
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // points[1]
+  };
+  EXPECT_EQ(w.bytes(), expected);
+
+  // The same bytes as one fixed-width put per element, and they read back
+  // through the column gets.
+  ByteWriter one_by_one;
+  for (uint64_t v : words) one_by_one.PutU64(v);
+  for (int64_t v : counters) one_by_one.PutI64(v);
+  for (double v : points) one_by_one.PutDouble(v);
+  EXPECT_EQ(one_by_one.bytes(), expected);
+
+  ByteReader r(w.bytes());
+  std::vector<uint64_t> words_back(words.size());
+  std::vector<int64_t> counters_back;
+  std::vector<double> points_back;
+  ASSERT_TRUE(r.GetU64s(words_back).ok());
+  ASSERT_TRUE(r.GetI64s(counters.size(), &counters_back).ok());
+  ASSERT_TRUE(r.GetDoubles(points.size(), &points_back).ok());
+  EXPECT_EQ(words_back, words);
+  EXPECT_EQ(counters_back, counters);
+  EXPECT_EQ(points_back, points);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BytesTest, WriterAndSinkEmitIdenticalBytes) {
+  const std::vector<uint64_t> column = {7, 8, 9};
+  const auto encode = [&column](ByteSink& sink) {
+    const size_t start = sink.size();
+    sink.PutU8(1);
+    sink.PutU16(2);
+    sink.PutU32(3);
+    sink.PutU64(4);
+    sink.PutI64(-5);
+    sink.PutDouble(6.25);
+    sink.PutVarint(300);
+    sink.PutString("key");
+    sink.PutBytes("\x01\x02", 2);
+    sink.PutRaw("xyz", 3);
+    sink.PutU64s(column);
+    sink.PutI64s(std::vector<int64_t>{-1});
+    sink.PutDoubles(std::vector<double>{0.25});
+    sink.PatchU32(start + 1, 0xCAFEF00D);  // Offsets index the buffer.
+  };
+  ByteWriter writer;
+  encode(writer);
+  std::vector<uint8_t> buffer = {0xEE};  // A sink appends after what is there.
+  ByteSink sink(&buffer);
+  encode(sink);
+  ASSERT_EQ(buffer.size(), writer.size() + 1);
+  EXPECT_EQ(std::vector<uint8_t>(buffer.begin() + 1, buffer.end()),
+            writer.bytes());
+}
+
+TEST(BytesTest, TruncatedFixedWidthReadLeavesCursor) {
+  // A reader with one byte consumed and `width - 1` bytes left: one short
+  // of what a `width`-byte get needs.
+  const std::vector<uint8_t> bytes = {9, 1, 2, 3, 4, 5, 6, 7};
+  const auto one_short = [&bytes](size_t width) {
+    ByteReader r(bytes.data(), width);
+    uint8_t first = 0;
+    EXPECT_TRUE(r.GetU8(&first).ok());
+    return r;
+  };
+  uint8_t u8 = 0xAA;
+  uint16_t u16 = 0xAAAA;
+  uint32_t u32 = 0xAAAAAAAA;
+  uint64_t u64 = 0xAAAA;
+  int64_t i64 = -1;
+  double d = -1.0;
+  ByteReader r1 = one_short(1);
+  EXPECT_EQ(r1.GetU8(&u8).code(), StatusCode::kCorruption);
+  ByteReader r2 = one_short(2);
+  EXPECT_EQ(r2.GetU16(&u16).code(), StatusCode::kCorruption);
+  ByteReader r4 = one_short(4);
+  EXPECT_EQ(r4.GetU32(&u32).code(), StatusCode::kCorruption);
+  ByteReader r8 = one_short(8);
+  EXPECT_EQ(r8.GetU64(&u64).code(), StatusCode::kCorruption);
+  EXPECT_EQ(r8.GetI64(&i64).code(), StatusCode::kCorruption);
+  EXPECT_EQ(r8.GetDouble(&d).code(), StatusCode::kCorruption);
+  EXPECT_EQ(r1.remaining(), 0u);
+  EXPECT_EQ(r2.remaining(), 1u);
+  EXPECT_EQ(r4.remaining(), 3u);
+  EXPECT_EQ(r8.remaining(), 7u);
+  // A failed get leaves its output alone.
+  EXPECT_EQ(u8, 0xAA);
+  EXPECT_EQ(u16, 0xAAAA);
+  EXPECT_EQ(u32, 0xAAAAAAAAu);
+  EXPECT_EQ(u64, 0xAAAAu);
+  EXPECT_EQ(i64, -1);
+  EXPECT_EQ(d, -1.0);
+  // The cursor did not move: the bytes that are there still read.
+  ASSERT_TRUE(r8.GetU32(&u32).ok());
+  EXPECT_EQ(u32, 0x04030201u);
+}
+
+TEST(BytesTest, TruncatedColumnReadLeavesCursor) {
+  ByteWriter w;
+  w.PutU64s(std::vector<uint64_t>{1, 2});
+  w.PutU8(3);  // 17 bytes: two words and one byte, never three words.
+  ByteReader r(w.bytes());
+  std::vector<uint64_t> three(3, 99);
+  EXPECT_EQ(r.GetU64s(three).code(), StatusCode::kCorruption);
+  EXPECT_EQ(three, std::vector<uint64_t>(3, 99));
+  std::vector<double> doubles = {4.0};
+  EXPECT_EQ(r.GetDoubles(3, &doubles).code(), StatusCode::kCorruption);
+  EXPECT_EQ(doubles, std::vector<double>{4.0});  // Not resized either.
+  std::vector<int64_t> counters;
+  EXPECT_EQ(r.GetI64s(3, &counters).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(counters.empty());
+  EXPECT_EQ(r.remaining(), 17u);
+  std::vector<uint64_t> two;
+  ASSERT_TRUE(r.GetU64s(2, &two).ok());
+  EXPECT_EQ(two, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(r.remaining(), 1u);
+}
+
+TEST(BytesTest, ColumnLengthWhoseByteSizeOverflowsIsRefused) {
+  // 2^61 elements of 8 bytes is 2^64 bytes: a count * 8 bounds check
+  // would wrap to 0 and pass. The check must refuse it before the vector
+  // is resized.
+  const std::vector<uint8_t> bytes(64, 0);
+  ByteReader r(bytes);
+  const uint64_t wraps = uint64_t{1} << 61;
+  EXPECT_EQ(r.CheckColumn(wraps, 8).code(), StatusCode::kCorruption);
+  std::vector<uint64_t> words;
+  EXPECT_EQ(r.GetU64s(wraps, &words).code(), StatusCode::kCorruption);
+  std::vector<int64_t> counters;
+  EXPECT_EQ(r.GetI64s(wraps + 1, &counters).code(), StatusCode::kCorruption);
+  std::vector<double> doubles;
+  EXPECT_EQ(r.GetDoubles(~uint64_t{0}, &doubles).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(words.empty());
+  EXPECT_TRUE(counters.empty());
+  EXPECT_TRUE(doubles.empty());
+  EXPECT_EQ(r.remaining(), 64u);
+  EXPECT_TRUE(r.CheckColumn(8, 8).ok());
+  EXPECT_EQ(r.CheckColumn(9, 8).code(), StatusCode::kCorruption);
+}
+
 // ----------------------------------------------------------------- Random
 
 TEST(RandomTest, SplitMixIsDeterministic) {

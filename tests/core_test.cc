@@ -55,6 +55,52 @@ TEST(WireTest, RoundTrip) {
   EXPECT_EQ(payload, 777u);
 }
 
+TEST(WireTest, EnvelopeHeaderFieldsAreLittleEndian) {
+  const std::vector<uint8_t> payload = {0xAA, 0xBB, 0xCC};
+  const std::vector<uint8_t> bytes =
+      WrapEnvelope(SketchTypeId::kKll, payload);
+  ASSERT_EQ(bytes.size(), kWireHeaderSize + payload.size());
+  const std::vector<uint8_t> expected_prefix = {
+      'G',  'E',  'M',  'S',   // Magic.
+      17,   0x00,              // Type id: kKll.
+      0x01,                    // Version.
+      0x00,                    // Flags.
+      0x03, 0x00, 0x00, 0x00,  // Payload length.
+  };
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.begin() + 12),
+            expected_prefix);
+  Result<EnvelopeView> view = ParseEnvelope(bytes);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view.value().payload_size, payload.size());
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin() + kWireHeaderSize, bytes.end()),
+            payload);
+}
+
+TEST(WireTest, EnvelopeBuilderMatchesOverWriterAndSink) {
+  const auto build = [](ByteSink& sink) {
+    EnvelopeBuilder env(sink, SketchTypeId::kCountSketch);
+    sink.PutU32(2);
+    sink.PutI64s(std::vector<int64_t>{-3, 4});
+    sink.PutDoubles(std::vector<double>{0.5});
+  };
+  ByteWriter writer;
+  build(writer);
+  std::vector<uint8_t> arena = {1, 2, 3};  // Envelopes land after this.
+  ByteSink sink(&arena);
+  build(sink);
+  EXPECT_EQ(std::vector<uint8_t>(arena.begin() + 3, arena.end()),
+            writer.bytes());
+  // WrapEnvelope over the same payload yields the same envelope too.
+  ByteWriter payload;
+  payload.PutU32(2);
+  payload.PutI64s(std::vector<int64_t>{-3, 4});
+  payload.PutDoubles(std::vector<double>{0.5});
+  EXPECT_EQ(WrapEnvelope(SketchTypeId::kCountSketch,
+                         std::move(payload).TakeBytes()),
+            writer.bytes());
+  EXPECT_TRUE(ParseEnvelope(writer.bytes()).ok());
+}
+
 TEST(WireTest, EnvelopeStartsWithAsciiMagic) {
   std::vector<uint8_t> bytes = WrapEnvelope(SketchTypeId::kKll, {});
   ASSERT_GE(bytes.size(), 4u);

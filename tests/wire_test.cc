@@ -5,6 +5,9 @@
 // garbage. Run under ASan/UBSan in CI.
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,7 +29,9 @@
 #include "graph/agm.h"
 #include "membership/bloom.h"
 #include "quantiles/kll.h"
+#include "hostile_envelopes.h"
 #include "sampling/reservoir.h"
+#include "server/keyspace.h"
 
 namespace gems {
 namespace {
@@ -469,6 +474,93 @@ TEST_F(WireTest, FindByNameMatchesTypeName) {
     EXPECT_EQ(by_id->name, SketchTypeName(id));
     EXPECT_EQ(SketchRegistry::Global().FindByName(by_id->name), by_id);
   }
+}
+
+// Runs every hostile envelope through the three routes gemsd takes from
+// untrusted bytes to a decoder: Deserialize (RESTORE's registry path),
+// Wrap -> MergeFromView (MERGE) and Keyspace::Restore (a checkpoint
+// image). Prints each wrong status or escaped exception; returns how many.
+int CheckHostileEnvelopes() {
+  const SketchRegistry& registry = SketchRegistry::Global();
+  server::Keyspace keyspace;
+  int failures = 0;
+  const auto expect = [&failures](const std::string& what, StatusCode want,
+                                  const Status& got) {
+    if (got.code() == want) return;
+    std::fprintf(stderr, "%s: want %s, got %s\n", what.c_str(),
+                 StatusCodeName(want), got.ToString().c_str());
+    ++failures;
+  };
+  const auto restore_one = [&keyspace](ByteSpan envelope) {
+    ByteWriter image;
+    image.PutU8(1);  // Keyspace checkpoint version.
+    image.PutU32(1);
+    image.PutString("key");
+    image.PutU32(static_cast<uint32_t>(envelope.size()));
+    image.PutRaw(envelope.data(), envelope.size());
+    return keyspace.Restore(image.bytes());
+  };
+  for (const testing::HostileEnvelope& hostile : testing::HostileEnvelopes()) {
+    const std::string family = hostile.family;
+    try {
+      Result<AnySketch> decoded = registry.Deserialize(hostile.bytes);
+      expect(family + " Deserialize", StatusCode::kCorruption,
+             decoded.ok() ? Status::Ok() : decoded.status());
+
+      // The merge route needs a live sketch to merge into; AGM has no
+      // default shape to build one from.
+      const SketchRegistry::Entry* entry =
+          registry.Find(ParseEnvelope(hostile.bytes).value().type);
+      Result<AnySketchView> view = registry.Wrap(hostile.bytes);
+      if (!view.ok()) {
+        expect(family + " Wrap", StatusCode::kCorruption, view.status());
+      } else if (entry->make_default) {
+        AnySketch into = entry->make_default();
+        // A family with no merge at all answers kUnimplemented first.
+        const bool mergeable =
+            into.Merge(entry->make_default()).code() !=
+            StatusCode::kUnimplemented;
+        expect(family + " MergeFromView",
+               mergeable ? StatusCode::kCorruption : StatusCode::kUnimplemented,
+               into.MergeFromView(view.value().sketch_view()));
+      }
+
+      expect(family + " Keyspace::Restore", StatusCode::kCorruption,
+             restore_one(hostile.bytes));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: threw %s\n", family.c_str(), e.what());
+      ++failures;
+    }
+  }
+  // A checkpoint image that declares 2^32 - 1 entries and holds none.
+  ByteWriter image;
+  image.PutU8(1);
+  image.PutU32(0xFFFFFFFF);
+  try {
+    expect("keyspace entry count", StatusCode::kCorruption,
+           keyspace.Restore(image.bytes()));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "keyspace entry count: threw %s\n", e.what());
+    ++failures;
+  }
+  return failures;
+}
+
+// A decoder must check the payload before it allocates what the header
+// declares: each envelope below would ask for up to 2^64 bytes. The checks
+// run in a child process whose address space is capped at 1 GiB, so an
+// unchecked allocation fails the test (bad_alloc, or a crash) instead of
+// exhausting the host.
+TEST_F(WireTest, DeclaredShapeBeyondPayloadIsCorruptionBeforeAllocation) {
+  if (!testing::kAddressSpaceCapUsable) {
+    GTEST_SKIP() << "RLIMIT_AS cannot cap a sanitizer build";
+  }
+  EXPECT_EXIT(
+      {
+        if (!testing::CapAddressSpace(uint64_t{1} << 30)) std::exit(2);
+        std::exit(CheckHostileEnvelopes() == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

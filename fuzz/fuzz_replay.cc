@@ -9,7 +9,8 @@
 // Inputs, per harness:
 //  - every file under <corpus-root>/<name>/ (a file elsewhere under the
 //    root goes to all three harnesses);
-//  - seeds built here: one populated envelope per registered sketch type
+//  - seeds built here: one populated envelope per registered sketch type,
+//    one per view-merge parity accumulator (fuzz/view_merge_accumulators.h)
 //    and the hostile envelopes of tests/hostile_envelopes.h (wire_view);
 //    one request and one response frame per opcode, framed and bare
 //    (protocol);
@@ -48,6 +49,7 @@
 #include "core/wire.h"
 #include "hostile_envelopes.h"
 #include "server/protocol.h"
+#include "view_merge_accumulators.h"
 
 extern "C" int FuzzReplay_wire_view(const uint8_t* data, size_t size);
 extern "C" int FuzzReplay_protocol(const uint8_t* data, size_t size);
@@ -267,6 +269,10 @@ int main(int argc, char** argv) {
       {"stream_checkpoint", FuzzReplay_stream_checkpoint, {}},
   };
   harnesses[1].seeds = ProtocolFrames(harnesses[0].seeds.front());
+  for (Bytes& envelope :
+       gems::fuzzing::ViewMergeAccumulators().Envelopes()) {
+    harnesses[0].seeds.push_back(std::move(envelope));
+  }
   for (gems::testing::HostileEnvelope& hostile :
        gems::testing::HostileEnvelopes()) {
     harnesses[0].seeds.push_back(std::move(hostile.bytes));

@@ -1,33 +1,57 @@
 // libFuzzer harness for the zero-copy wrap stack: arbitrary bytes go
 // through SketchView::Wrap / WrapTrusted, the registry's type-erased
-// Wrap + Materialize, and MergeFromView on a live accumulator. The
+// Wrap + Materialize, and MergeFromView on live accumulators. The
 // contract under test is the wire module's: hostile input yields a
 // Status (kCorruption, kInvalidArgument), never a crash, OOB read, or
-// silently-garbage sketch. Run under ASan/UBSan; see fuzz/CMakeLists.txt.
+// silently-garbage sketch. For the five families whose view merge reads
+// the wrapped payload in place, a view must also merge exactly as
+// decode-then-merge does; the harness aborts on any difference. Run under
+// ASan/UBSan; see fuzz/CMakeLists.txt.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
 
-#include "cardinality/hyperloglog.h"
 #include "core/registry.h"
+#include "core/summary.h"
 #include "core/view.h"
-#include "frequency/count_min.h"
 #include "frequency/space_saving.h"
+#include "view_merge_accumulators.h"
 
 namespace {
 
-// One live accumulator per family with an in-place MergeFromView, so the
-// fuzzer exercises the payload walks (raw register block, varint counter
-// grid, SpaceSaving entry list) and their atomicity guards, not just
-// envelope validation.
-gems::HyperLogLog& HllAccumulator() {
-  static gems::HyperLogLog hll(10, 7);
-  return hll;
-}
-
-gems::CountMinSketch& CmAccumulator() {
-  static gems::CountMinSketch cm(64, 3, 7);
-  return cm;
+/// The zero-copy merge of a view against decode-then-merge: the same
+/// status code, on success the same bytes, on failure an accumulator left
+/// as it was. Any difference aborts. A verified view is checked against
+/// Deserialize; a trusted one, whose checksum was never read, against
+/// GetPayload, the same decode without the checksum.
+template <typename S>
+void CheckViewMergeParity(const S& base, const gems::SketchView& view,
+                          bool verified) {
+  gems::Result<gems::View<S>> typed = gems::View<S>::FromSketchView(view);
+  if (!typed.ok()) return;
+  S by_view = base;
+  const gems::Status via_view = gems::MergeFromView(by_view, typed.value());
+  S by_merge = base;
+  gems::ByteReader payload = view.PayloadReader();
+  gems::Result<S> peer =
+      verified ? S::Deserialize(view.envelope()) : S::GetPayload(payload);
+  const gems::Status via_merge =
+      peer.ok() ? by_merge.Merge(peer.value()) : peer.status();
+  const bool agree =
+      via_view.code() == via_merge.code() &&
+      by_view.Serialize() ==
+          (via_view.ok() ? by_merge : base).Serialize();
+  if (!agree) {
+    std::fprintf(stderr,
+                 "fuzz_wire_view: %s view merge disagrees: view %s, "
+                 "decode+merge %s\n",
+                 view.type_name(), via_view.ToString().c_str(),
+                 via_merge.ToString().c_str());
+    std::abort();
+  }
 }
 
 // Above 128 slots SpaceSaving keeps a slot index (hash table plus min-count
@@ -75,25 +99,32 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (sketch.ok()) (void)sketch.value().EstimateSummary();
   }
 
-  // Typed merge-from-view into live accumulators. Type confusion, shape
-  // mismatches, truncation and over-long lengths must all come back as
-  // Status; WrapTrusted additionally feeds payloads whose checksum was
-  // never checked, so the structural bounds checks stand alone.
+  // Status parity of the in-place view merges, at both verification
+  // levels.
+  static const gems::fuzzing::ViewMergeAccumulators acc;
   for (const auto* v : {&view, &trusted}) {
     if (!v->ok()) continue;
-    auto hll_view =
-        gems::View<gems::HyperLogLog>::FromSketchView(v->value());
-    if (hll_view.ok()) {
-      (void)HllAccumulator().MergeFromView(hll_view.value());
-    }
-    auto cm_view =
-        gems::View<gems::CountMinSketch>::FromSketchView(v->value());
-    if (cm_view.ok()) {
-      (void)CmAccumulator().MergeFromView(cm_view.value());
-    }
+    const bool verified = v == &view;
+    CheckViewMergeParity(acc.hll, v->value(), verified);
+    CheckViewMergeParity(acc.kmv, v->value(), verified);
+    CheckViewMergeParity(acc.count_min, v->value(), verified);
+    CheckViewMergeParity(acc.count_min_blocked, v->value(), verified);
+    CheckViewMergeParity(acc.count_sketch, v->value(), verified);
+    CheckViewMergeParity(acc.count_sketch_blocked, v->value(), verified);
+    CheckViewMergeParity(acc.bloom, v->value(), verified);
+  }
+
+  // A live SpaceSaving accumulator that keeps absorbing merges. Type
+  // confusion, shape mismatches, truncation and over-long lengths must all
+  // come back as Status; WrapTrusted additionally feeds payloads whose
+  // checksum was never checked, so the structural bounds checks stand
+  // alone.
+  for (const auto* v : {&view, &trusted}) {
+    if (!v->ok()) continue;
     auto ss_view =
         gems::View<gems::SpaceSaving>::FromSketchView(v->value());
-    if (ss_view.ok() && SsAccumulator().MergeFromView(ss_view.value()).ok()) {
+    if (ss_view.ok() &&
+        gems::MergeFromView(SsAccumulator(), ss_view.value()).ok()) {
       SsEvict();
     }
   }

@@ -60,20 +60,13 @@ Status FlajoletMartin::Merge(const FlajoletMartin& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> FlajoletMartin::Serialize() const {
-  ByteWriter w;
-  w.PutU32(num_bitmaps_);
-  w.PutU64(seed_);
-  w.PutU64s(bitmaps_);
-  return WrapEnvelope(SketchTypeId::kFlajoletMartin,
-                      std::move(w).TakeBytes());
+void FlajoletMartin::PutPayload(ByteSink& sink) const {
+  sink.PutU32(num_bitmaps_);
+  sink.PutU64(seed_);
+  sink.PutU64s(bitmaps_);
 }
 
-Result<FlajoletMartin> FlajoletMartin::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kFlajoletMartin, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<FlajoletMartin> FlajoletMartin::GetPayload(ByteReader& r) {
   uint32_t num_bitmaps;
   uint64_t seed;
   if (Status sb = r.GetU32(&num_bitmaps); !sb.ok()) return sb;

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// Flajolet-Martin probabilistic counting with stochastic averaging (PCSA,
@@ -18,8 +19,11 @@
 namespace gems {
 
 /// PCSA sketch with `num_bitmaps` 64-bit bitmaps.
-class FlajoletMartin {
+class FlajoletMartin : public WireCodec<FlajoletMartin> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kFlajoletMartin;
+
   /// `num_bitmaps` must be a power of two; standard error ~0.78/sqrt(m).
   explicit FlajoletMartin(uint32_t num_bitmaps, uint64_t seed = 0);
 
@@ -44,9 +48,9 @@ class FlajoletMartin {
   uint32_t num_bitmaps() const { return num_bitmaps_; }
   size_t MemoryBytes() const { return bitmaps_.size() * sizeof(uint64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<FlajoletMartin> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<FlajoletMartin> GetPayload(ByteReader& payload);
 
  private:
   uint32_t num_bitmaps_;

@@ -253,21 +253,7 @@ size_t HllPlusPlus::MemoryBytes() const {
                                      2 * sizeof(void*));
 }
 
-Status HllPlusPlus::MergeFromView(const View<HllPlusPlus>& view) {
-  Result<HllPlusPlus> other = view.Materialize();
-  if (!other.ok()) return other.status();
-  return Merge(other.value());
-}
-
-std::vector<uint8_t> HllPlusPlus::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void HllPlusPlus::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void HllPlusPlus::PutPayload(ByteSink& sink) const {
   sink.PutU8(static_cast<uint8_t>(precision_));
   sink.PutU64(seed_);
   sink.PutU8(dense_ ? 0 : 1);
@@ -287,11 +273,7 @@ void HllPlusPlus::SerializeTo(ByteSink& sink) const {
   }
 }
 
-Result<HllPlusPlus> HllPlusPlus::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kHllPlusPlus, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<HllPlusPlus> HllPlusPlus::GetPayload(ByteReader& r) {
   uint8_t precision, sparse_flag;
   uint64_t seed;
   if (Status sp = r.GetU8(&precision); !sp.ok()) return sp;

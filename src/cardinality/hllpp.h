@@ -10,6 +10,7 @@
 #include "cardinality/hyperloglog.h"
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// HyperLogLog++ (Heule, Nunkesser & Hall 2013) — the "HLL in practice"
@@ -34,7 +35,7 @@
 namespace gems {
 
 /// HLL++ sketch: sparse then dense.
-class HllPlusPlus {
+class HllPlusPlus : public WireCodec<HllPlusPlus> {
  public:
   /// Wire-format type tag, for View<HllPlusPlus> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kHllPlusPlus;
@@ -73,13 +74,6 @@ class HllPlusPlus {
   /// Merges `other` into this sketch; requires equal precision and seed.
   Status Merge(const HllPlusPlus& other);
 
-  /// Merges a wrapped serialized peer. Sparse/dense conversion makes a
-  /// true in-place register walk impractical, so this materializes one
-  /// temporary from the view (skipping only the caller-side envelope copy)
-  /// and merges it — byte-identical to Merge(*view.Materialize()) by
-  /// construction.
-  Status MergeFromView(const View<HllPlusPlus>& view);
-
   bool IsSparse() const { return !dense_.has_value(); }
   int precision() const { return precision_; }
   size_t MemoryBytes() const;
@@ -87,11 +81,9 @@ class HllPlusPlus {
   /// Forces conversion to the dense representation (for tests/ablation).
   void ConvertToDense();
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<HllPlusPlus> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<HllPlusPlus> GetPayload(ByteReader& payload);
 
   /// The sparse precision p' used by the sparse representation.
   static constexpr int kSparsePrecision = 25;

@@ -129,64 +129,51 @@ Status HyperLogLog::Merge(const HyperLogLog& other) {
   return Status::Ok();
 }
 
-Status HyperLogLog::MergeFromView(const View<HyperLogLog>& view) {
-  // Mirrors Deserialize's validation order, then Merge's compatibility
-  // check, so the two paths fail with identical statuses — but the
-  // register max runs straight over the wrapped payload.
-  ByteReader r = view.PayloadReader();
-  uint8_t precision;
-  uint64_t seed;
-  if (Status sp = r.GetU8(&precision); !sp.ok()) return sp;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (precision < 4 || precision > 18) {
+Result<HyperLogLog::WireHeader> HyperLogLog::ReadWireHeader(ByteReader& r) {
+  WireHeader wire;
+  if (Status sp = r.GetU8(&wire.precision); !sp.ok()) return sp;
+  if (Status ss = r.GetU64(&wire.seed); !ss.ok()) return ss;
+  if (wire.precision < 4 || wire.precision > 18) {
     return Status::Corruption("invalid HyperLogLog precision");
   }
-  std::span<const uint8_t> regs;
-  if (Status sr = r.GetRawView(size_t{1} << precision, &regs); !sr.ok()) {
+  if (Status sr = r.GetRawView(size_t{1} << wire.precision, &wire.registers);
+      !sr.ok()) {
     return sr;
   }
-  if (precision != precision_ || seed != seed_) {
+  return wire;
+}
+
+Status HyperLogLog::MergeFromView(const View<HyperLogLog>& view) {
+  // GetPayload's header parse, then Merge's compatibility check, so the
+  // two paths fail with identical statuses.
+  ByteReader r = view.PayloadReader();
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  if (wire.precision != precision_ || wire.seed != seed_) {
     return Status::InvalidArgument(
         "HyperLogLog merge requires equal precision and seed");
   }
   // Same kernel as Merge(): the register max runs straight over the
   // wrapped payload (32 bytes per cycle under AVX2).
-  simd::Kernels().u8_max(registers_.data(), regs.data(), registers_.size());
+  simd::Kernels().u8_max(registers_.data(), wire.registers.data(),
+                         registers_.size());
   return Status::Ok();
 }
 
-std::vector<uint8_t> HyperLogLog::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + 9 + registers_.size());
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void HyperLogLog::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void HyperLogLog::PutPayload(ByteSink& sink) const {
   sink.PutU8(static_cast<uint8_t>(precision_));
   sink.PutU64(seed_);
   sink.PutRaw(registers_.data(), registers_.size());
 }
 
-Result<HyperLogLog> HyperLogLog::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kHyperLogLog, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
-  uint8_t precision;
-  uint64_t seed;
-  if (Status sp = r.GetU8(&precision); !sp.ok()) return sp;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (precision < 4 || precision > 18) {
-    return Status::Corruption("invalid HyperLogLog precision");
-  }
-  HyperLogLog hll(precision, seed);
-  if (Status sr = r.GetRaw(hll.registers_.data(), hll.registers_.size());
-      !sr.ok()) {
-    return sr;
-  }
+Result<HyperLogLog> HyperLogLog::GetPayload(ByteReader& r) {
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  HyperLogLog hll(wire.precision, wire.seed);
+  std::copy(wire.registers.begin(), wire.registers.end(),
+            hll.registers_.begin());
   return hll;
 }
 

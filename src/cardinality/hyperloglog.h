@@ -9,7 +9,9 @@
 #include "common/status.h"
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/summary.h"
 #include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// HyperLogLog (Flajolet, Fusy, Gandouet & Meunier 2007): the de-facto
@@ -23,7 +25,7 @@
 namespace gems {
 
 /// Dense HyperLogLog with m = 2^precision one-byte registers.
-class HyperLogLog {
+class HyperLogLog : public WireCodec<HyperLogLog> {
  public:
   /// Wire-format type tag, for View<HyperLogLog> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kHyperLogLog;
@@ -77,11 +79,6 @@ class HyperLogLog {
   /// Register-wise max; requires equal precision and seed.
   Status Merge(const HyperLogLog& other);
 
-  /// Register-wise max straight out of a wrapped serialized peer — no
-  /// materialization, no allocation. Resulting state is byte-identical to
-  /// Merge(*view.Materialize()).
-  Status MergeFromView(const View<HyperLogLog>& view);
-
   int precision() const { return precision_; }
   uint64_t seed() const { return seed_; }
   uint32_t num_registers() const {
@@ -93,14 +90,32 @@ class HyperLogLog {
   /// The alpha_m bias-correction constant for m registers.
   static double Alpha(uint32_t m);
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<HyperLogLog> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<HyperLogLog> GetPayload(ByteReader& payload);
 
  private:
+  /// gems::MergeFromView (core/summary.h) is the one public entry point;
+  /// it calls this zero-copy member.
+  template <typename S>
+    requires MergeableSummary<S>
+  friend Status MergeFromView(S& into, const View<S>& view);
+  /// Register-wise max straight out of a wrapped serialized peer — no
+  /// materialization, no allocation. Resulting state is byte-identical to
+  /// Merge(*view.Materialize()).
+  Status MergeFromView(const View<HyperLogLog>& view);
+
   friend class HllPlusPlus;  // Converts sparse representations into dense.
+
+  /// A validated wire image: the header and the 2^precision registers.
+  struct WireHeader {
+    uint8_t precision = 0;
+    uint64_t seed = 0;
+    ByteSpan registers;
+  };
+  /// The one header parse, shared by GetPayload and MergeFromView so both
+  /// refuse the same images with the same status.
+  static Result<WireHeader> ReadWireHeader(ByteReader& payload);
 
   int precision_;
   uint64_t seed_;

@@ -165,35 +165,42 @@ ThetaResult KmvSketch::Difference(const KmvSketch& a, const KmvSketch& b) {
   return ThetaResult(theta, std::move(out));
 }
 
-Status KmvSketch::MergeFromView(const View<KmvSketch>& view) {
-  // Deserialize's validation order, then Merge's seed check, then the
-  // union streamed off the wrapped payload. The serialized hashes are in
-  // ascending (set-iteration) order — the same order Merge consumes them —
-  // so the admitted set is byte-identical to deserialize-then-merge.
-  ByteReader r = view.PayloadReader();
-  uint32_t k;
-  uint64_t seed, count;
-  if (Status sk = r.GetU32(&k); !sk.ok()) return sk;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
+Result<KmvSketch::WireHeader> KmvSketch::ReadWireHeader(ByteReader& r) {
+  WireHeader wire;
+  uint64_t count;
+  if (Status sk = r.GetU32(&wire.k); !sk.ok()) return sk;
+  if (Status ss = r.GetU64(&wire.seed); !ss.ok()) return ss;
   if (Status sc = r.GetVarint(&count); !sc.ok()) return sc;
-  if (k < 2) return Status::Corruption("invalid KMV k");
-  if (count > k) return Status::Corruption("KMV retained count exceeds k");
-  std::span<const uint8_t> raw;
-  if (Status sh = r.GetRawView(static_cast<size_t>(count) * 8, &raw);
+  if (wire.k < 2) return Status::Corruption("invalid KMV k");
+  if (count > wire.k) {
+    return Status::Corruption("KMV retained count exceeds k");
+  }
+  if (Status sh = r.GetRawView(static_cast<size_t>(count) * 8, &wire.hashes);
       !sh.ok()) {
     return sh;
   }
   for (uint64_t i = 1; i < count; ++i) {
-    if (LoadLittleEndian<uint64_t>(raw.data() + 8 * i) <=
-        LoadLittleEndian<uint64_t>(raw.data() + 8 * (i - 1))) {
+    if (wire.Hash(i) <= wire.Hash(i - 1)) {
       return Status::Corruption("KMV hashes not strictly ascending");
     }
   }
-  if (seed != seed_) {
+  return wire;
+}
+
+Status KmvSketch::MergeFromView(const View<KmvSketch>& view) {
+  // GetPayload's header parse, then Merge's seed check, then the union
+  // streamed off the wrapped payload. The serialized hashes are in
+  // ascending (set-iteration) order — the same order Merge consumes them —
+  // so the admitted set is byte-identical to deserialize-then-merge.
+  ByteReader r = view.PayloadReader();
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  if (wire.seed != seed_) {
     return Status::InvalidArgument("KMV merge requires equal seed");
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t h = LoadLittleEndian<uint64_t>(raw.data() + 8 * i);
+  for (size_t i = 0; i < wire.count(); ++i) {
+    const uint64_t h = wire.Hash(i);
     if (hashes_.size() < k_) {
       hashes_.insert(h);
     } else {
@@ -207,41 +214,21 @@ Status KmvSketch::MergeFromView(const View<KmvSketch>& view) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> KmvSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + 22 + hashes_.size() * 8);
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void KmvSketch::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void KmvSketch::PutPayload(ByteSink& sink) const {
   sink.PutU32(k_);
   sink.PutU64(seed_);
   sink.PutVarint(hashes_.size());
   for (uint64_t h : hashes_) sink.PutU64(h);
 }
 
-Result<KmvSketch> KmvSketch::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kKmv, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
-  uint32_t k;
-  uint64_t seed, count;
-  if (Status sk = r.GetU32(&k); !sk.ok()) return sk;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (Status sc = r.GetVarint(&count); !sc.ok()) return sc;
-  if (k < 2) return Status::Corruption("invalid KMV k");
-  if (count > k) return Status::Corruption("KMV retained count exceeds k");
-  std::vector<uint64_t> hashes;
-  if (Status sh = r.GetU64s(count, &hashes); !sh.ok()) return sh;
-  if (std::adjacent_find(hashes.begin(), hashes.end(),
-                         std::greater_equal<uint64_t>()) != hashes.end()) {
-    return Status::Corruption("KMV hashes not strictly ascending");
+Result<KmvSketch> KmvSketch::GetPayload(ByteReader& r) {
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  KmvSketch sketch(wire.k, wire.seed);
+  for (size_t i = 0; i < wire.count(); ++i) {
+    sketch.hashes_.insert(sketch.hashes_.end(), wire.Hash(i));
   }
-  KmvSketch sketch(k, seed);
-  sketch.hashes_.insert(hashes.begin(), hashes.end());
   return sketch;
 }
 

@@ -9,7 +9,9 @@
 #include "common/status.h"
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/summary.h"
 #include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// KMV / Theta sketch: keep the k minimum hash values of the distinct items
@@ -43,7 +45,7 @@ class ThetaResult {
 };
 
 /// KMV sketch of the k minimum hashes.
-class KmvSketch {
+class KmvSketch : public WireCodec<KmvSketch> {
  public:
   /// Wire-format type tag, for View<KmvSketch> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kKmv;
@@ -81,10 +83,6 @@ class KmvSketch {
   /// result keeps this sketch's k).
   Status Merge(const KmvSketch& other);
 
-  /// Union streamed straight off a wrapped serialized peer — no
-  /// materialization. Byte-identical result to Merge(*view.Materialize()).
-  Status MergeFromView(const View<KmvSketch>& view);
-
   /// Current sampling threshold theta in (0, 1].
   double Theta() const;
 
@@ -101,13 +99,35 @@ class KmvSketch {
   size_t NumRetained() const { return hashes_.size(); }
   size_t MemoryBytes() const { return hashes_.size() * sizeof(uint64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<KmvSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<KmvSketch> GetPayload(ByteReader& payload);
 
  private:
+  /// gems::MergeFromView (core/summary.h) is the one public entry point;
+  /// it calls this zero-copy member.
+  template <typename S>
+    requires MergeableSummary<S>
+  friend Status MergeFromView(S& into, const View<S>& view);
+  /// Union streamed straight off a wrapped serialized peer — no
+  /// materialization. Byte-identical result to Merge(*view.Materialize()).
+  Status MergeFromView(const View<KmvSketch>& view);
+
+  /// A validated wire image: k, the seed, and the retained hashes (8 bytes
+  /// each, little-endian, strictly ascending).
+  struct WireHeader {
+    uint32_t k = 0;
+    uint64_t seed = 0;
+    ByteSpan hashes;
+    size_t count() const { return hashes.size() / 8; }
+    uint64_t Hash(size_t i) const {
+      return LoadLittleEndian<uint64_t>(hashes.data() + 8 * i);
+    }
+  };
+  /// The one header parse, shared by GetPayload and MergeFromView so both
+  /// refuse the same images with the same status.
+  static Result<WireHeader> ReadWireHeader(ByteReader& payload);
+
   uint32_t k_;
   uint64_t seed_;
   std::set<uint64_t> hashes_;  // At most k smallest distinct hash values.

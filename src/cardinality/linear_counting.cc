@@ -51,20 +51,13 @@ Status LinearCounting::Merge(const LinearCounting& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> LinearCounting::Serialize() const {
-  ByteWriter w;
-  w.PutU64(num_bits_);
-  w.PutU64(seed_);
-  w.PutU64s(bitmap_);
-  return WrapEnvelope(SketchTypeId::kLinearCounting,
-                      std::move(w).TakeBytes());
+void LinearCounting::PutPayload(ByteSink& sink) const {
+  sink.PutU64(num_bits_);
+  sink.PutU64(seed_);
+  sink.PutU64s(bitmap_);
 }
 
-Result<LinearCounting> LinearCounting::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kLinearCounting, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<LinearCounting> LinearCounting::GetPayload(ByteReader& r) {
   uint64_t num_bits, seed;
   if (Status sb = r.GetU64(&num_bits); !sb.ok()) return sb;
   if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;

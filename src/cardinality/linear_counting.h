@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// Linear counting (Whang et al. 1990): hash each item to one bit of an
@@ -19,8 +20,11 @@
 namespace gems {
 
 /// A linear counter over an m-bit bitmap.
-class LinearCounting {
+class LinearCounting : public WireCodec<LinearCounting> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kLinearCounting;
+
   /// `num_bits` is rounded up to a multiple of 64. `seed` picks the hash.
   explicit LinearCounting(uint64_t num_bits, uint64_t seed = 0);
 
@@ -47,9 +51,9 @@ class LinearCounting {
   uint64_t NumBitsSet() const;
   size_t MemoryBytes() const { return bitmap_.size() * sizeof(uint64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<LinearCounting> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<LinearCounting> GetPayload(ByteReader& payload);
 
  private:
   uint64_t num_bits_;

@@ -60,19 +60,13 @@ Status LogLog::Merge(const LogLog& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> LogLog::Serialize() const {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(precision_));
-  w.PutU64(seed_);
-  w.PutRaw(registers_.data(), registers_.size());
-  return WrapEnvelope(SketchTypeId::kLogLog,
-                      std::move(w).TakeBytes());
+void LogLog::PutPayload(ByteSink& sink) const {
+  sink.PutU8(static_cast<uint8_t>(precision_));
+  sink.PutU64(seed_);
+  sink.PutRaw(registers_.data(), registers_.size());
 }
 
-Result<LogLog> LogLog::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kLogLog, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<LogLog> LogLog::GetPayload(ByteReader& r) {
   uint8_t precision;
   uint64_t seed;
   if (Status sp = r.GetU8(&precision); !sp.ok()) return sp;

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// LogLog cardinality estimator (Durand & Flajolet 2003): keeps only the
@@ -19,8 +20,11 @@
 namespace gems {
 
 /// LogLog sketch with m = 2^precision registers (geometric mean estimator).
-class LogLog {
+class LogLog : public WireCodec<LogLog> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kLogLog;
+
   /// `precision` in [4, 16]; m = 2^precision registers of one byte each.
   explicit LogLog(int precision, uint64_t seed = 0);
 
@@ -45,8 +49,9 @@ class LogLog {
   uint32_t num_registers() const { return static_cast<uint32_t>(registers_.size()); }
   size_t MemoryBytes() const { return registers_.size(); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<LogLog> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<LogLog> GetPayload(ByteReader& payload);
 
  private:
   int precision_;

@@ -51,19 +51,12 @@ Status MorrisCounter::Merge(const MorrisCounter& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> MorrisCounter::Serialize() const {
-  ByteWriter w;
-  w.PutDouble(a_);
-  w.PutVarint(register_);
-  return WrapEnvelope(SketchTypeId::kMorrisCounter,
-                      std::move(w).TakeBytes());
+void MorrisCounter::PutPayload(ByteSink& sink) const {
+  sink.PutDouble(a_);
+  sink.PutVarint(register_);
 }
 
-Result<MorrisCounter> MorrisCounter::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kMorrisCounter, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<MorrisCounter> MorrisCounter::GetPayload(ByteReader& r) {
   double a;
   uint64_t reg;
   if (Status sa = r.GetDouble(&a); !sa.ok()) return sa;

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// Morris approximate counter (Morris 1977): counts n events in
@@ -24,8 +25,11 @@ namespace gems {
 /// n̂ = a((1+1/a)^c - 1) is unbiased with variance n(n-1)/(2a), so the
 /// standard error is roughly n/sqrt(2a). Larger `a` trades bits for
 /// accuracy.
-class MorrisCounter {
+class MorrisCounter : public WireCodec<MorrisCounter> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kMorrisCounter;
+
   /// `a` >= 1 controls accuracy; `seed` drives the coin flips.
   explicit MorrisCounter(double a = 16.0, uint64_t seed = 0);
 
@@ -59,8 +63,9 @@ class MorrisCounter {
   /// preserves unbiasedness of the estimate but adds (bounded) variance.
   Status Merge(const MorrisCounter& other);
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<MorrisCounter> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<MorrisCounter> GetPayload(ByteReader& payload);
 
  private:
   double a_;

@@ -77,49 +77,49 @@ void RegisterAll(SketchRegistry& r) {
   auto must = [](Status s) { GEMS_CHECK(s.ok()); };
 
   must(RegisterSketchType<MorrisCounter>(
-      r, SketchTypeId::kMorrisCounter,
+      r,
       [](const MorrisCounter& s) { return Fmt("count ~ %.0f", s.Estimate()); },
       [] { return MorrisCounter(); }));
   must(RegisterSketchType<LinearCounting>(
-      r, SketchTypeId::kLinearCounting,
+      r,
       [](const LinearCounting& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return LinearCounting(1 << 16); }));
   must(RegisterSketchType<FlajoletMartin>(
-      r, SketchTypeId::kFlajoletMartin,
+      r,
       [](const FlajoletMartin& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return FlajoletMartin(64); }));
   must(RegisterSketchType<LogLog>(
-      r, SketchTypeId::kLogLog,
+      r,
       [](const LogLog& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return LogLog(12); }));
   must(RegisterSketchType<HyperLogLog>(
-      r, SketchTypeId::kHyperLogLog,
+      r,
       [](const HyperLogLog& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return HyperLogLog(12); }));
   must(RegisterSketchType<HllPlusPlus>(
-      r, SketchTypeId::kHllPlusPlus,
+      r,
       [](const HllPlusPlus& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return HllPlusPlus(14); }));
   must(RegisterSketchType<KmvSketch>(
-      r, SketchTypeId::kKmv,
+      r,
       [](const KmvSketch& s) { return Fmt("distinct ~ %.0f", s.Estimate()); },
       [] { return KmvSketch(1024); }));
 
   must(RegisterSketchType<BloomFilter>(
-      r, SketchTypeId::kBloomFilter,
+      r,
       [](const BloomFilter& s) {
         return Fmt("membership filter, fpr ~ %.4g", s.EstimatedFpr());
       },
       [] { return BloomFilter::ForCapacity(1 << 20, 0.01); }));
   must(RegisterSketchType<CountingBloomFilter>(
-      r, SketchTypeId::kCountingBloomFilter,
+      r,
       [](const CountingBloomFilter& s) {
         return Fmt("counting filter, %.0f counters",
                    static_cast<double>(s.num_counters()));
       },
       [] { return CountingBloomFilter(1 << 20, 4); }));
   must(RegisterSketchType<BlockedBloomFilter>(
-      r, SketchTypeId::kBlockedBloomFilter,
+      r,
       [](const BlockedBloomFilter& s) {
         return Fmt("blocked filter, %.0f bits",
                    static_cast<double>(s.num_bits()));
@@ -127,28 +127,28 @@ void RegisterAll(SketchRegistry& r) {
       [] { return BlockedBloomFilter(1 << 23, 4); }));
 
   must(RegisterSketchType<CountMinSketch>(
-      r, SketchTypeId::kCountMin,
+      r,
       [](const CountMinSketch& s) {
         return Fmt("frequency table, total weight %.0f",
                    static_cast<double>(s.TotalWeight()));
       },
       [] { return CountMinSketch::ForGuarantee(0.001, 0.01); }));
   must(RegisterSketchType<CountSketch>(
-      r, SketchTypeId::kCountSketch,
+      r,
       [](const CountSketch& s) {
         return Fmt("frequency table, %.0f counters",
                    static_cast<double>(s.width()) * s.depth());
       },
       [] { return CountSketch(2048, 5); }));
   must(RegisterSketchType<MisraGries>(
-      r, SketchTypeId::kMisraGries,
+      r,
       [](const MisraGries& s) {
         return Fmt("heavy hitters, total weight %.0f",
                    static_cast<double>(s.TotalWeight()));
       },
       [] { return MisraGries(256); }));
   must(RegisterSketchType<SpaceSaving>(
-      r, SketchTypeId::kSpaceSaving,
+      r,
       [](const SpaceSaving& s) {
         std::string out = Fmt("top-k, total weight %.0f",
                               static_cast<double>(s.TotalWeight()));
@@ -162,7 +162,7 @@ void RegisterAll(SketchRegistry& r) {
       [] { return SpaceSaving(1024); }));
 
   must(RegisterSketchType<GreenwaldKhanna>(
-      r, SketchTypeId::kGreenwaldKhanna,
+      r,
       [](const GreenwaldKhanna& s) {
         if (s.Count() == 0) return std::string("quantiles, empty");
         return Fmt("quantiles, median ~ %.6g", s.Quantile(0.5)) +
@@ -170,7 +170,7 @@ void RegisterAll(SketchRegistry& r) {
       },
       [] { return GreenwaldKhanna(0.01); }));
   must(RegisterSketchType<KllSketch>(
-      r, SketchTypeId::kKll,
+      r,
       [](const KllSketch& s) {
         if (s.Count() == 0) return std::string("quantiles, empty");
         return Fmt("quantiles, median ~ %.6g", s.Quantile(0.5)) +
@@ -178,7 +178,7 @@ void RegisterAll(SketchRegistry& r) {
       },
       [] { return KllSketch(); }));
   must(RegisterSketchType<QDigest>(
-      r, SketchTypeId::kQDigest,
+      r,
       [](const QDigest& s) {
         if (s.Count() == 0) return std::string("quantiles, empty");
         return Fmt("quantiles, median ~ %.6g",
@@ -187,7 +187,7 @@ void RegisterAll(SketchRegistry& r) {
       },
       [] { return QDigest(32, 64); }));
   must(RegisterSketchType<TDigest>(
-      r, SketchTypeId::kTDigest,
+      r,
       [](const TDigest& s) {
         if (s.Count() == 0) return std::string("quantiles, empty");
         return Fmt("quantiles, median ~ %.6g", s.Quantile(0.5)) +
@@ -196,24 +196,24 @@ void RegisterAll(SketchRegistry& r) {
       [] { return TDigest(); }));
 
   must(RegisterSketchType<ReservoirSampler>(
-      r, SketchTypeId::kReservoir,
+      r,
       [](const ReservoirSampler& s) {
         return Fmt("uniform sample of %.0f items",
                    static_cast<double>(s.Sample().size()));
       },
       [] { return ReservoirSampler(256, 42); }));
   must(RegisterSketchType<L0Sampler>(
-      r, SketchTypeId::kL0Sampler,
+      r,
       [](const L0Sampler&) { return std::string("l0 support sampler"); },
       [] { return L0Sampler(42); }));
 
   must(RegisterSketchType<AmsSketch>(
-      r, SketchTypeId::kAmsSketch,
+      r,
       [](const AmsSketch& s) { return Fmt("F2 ~ %.6g", s.EstimateF2()); },
       [] { return AmsSketch(64, 8); }));
 
   must(RegisterSketchType<MinHashSketch>(
-      r, SketchTypeId::kMinHash,
+      r,
       [](const MinHashSketch& s) {
         return Fmt("minhash signature, k = %.0f",
                    static_cast<double>(s.k()));
@@ -221,7 +221,7 @@ void RegisterAll(SketchRegistry& r) {
       [] { return MinHashSketch(128); }));
 
   must(RegisterSketchType<AgmSketch>(
-      r, SketchTypeId::kAgmSketch,
+      r,
       [](const AgmSketch& s) {
         return Fmt("graph sketch over %.0f vertices",
                    static_cast<double>(s.num_vertices()));
@@ -232,7 +232,7 @@ void RegisterAll(SketchRegistry& r) {
   // (the gemsd CREATE path); make_default picks telemetry-flavored
   // defaults (seconds-resolution clocks, minute panes).
   must(RegisterSketchType<SlidingHyperLogLog>(
-      r, SketchTypeId::kSlidingHyperLogLog,
+      r,
       [](const SlidingHyperLogLog& s) {
         return Fmt("windowed distinct ~ %.0f", s.Estimate()) +
                Fmt(" over trailing %.0f time units",
@@ -250,7 +250,7 @@ void RegisterAll(SketchRegistry& r) {
         return SlidingHyperLogLog(12, pane_width, num_panes);
       }));
   must(RegisterSketchType<SlidingCountMin>(
-      r, SketchTypeId::kSlidingCountMin,
+      r,
       [](const SlidingCountMin& s) {
         return Fmt("windowed frequency table, window weight %.0f",
                    static_cast<double>(s.TotalWeight()));
@@ -267,7 +267,7 @@ void RegisterAll(SketchRegistry& r) {
         return SlidingCountMin(2048, 4, pane_width, num_panes);
       }));
   must(RegisterSketchType<DecayedCountMin>(
-      r, SketchTypeId::kDecayedCountMin,
+      r,
       [](const DecayedCountMin& s) {
         return Fmt("decayed frequency table, decayed weight %.1f",
                    s.TotalWeight());
@@ -286,7 +286,7 @@ void RegisterAll(SketchRegistry& r) {
         return DecayedCountMin(2048, 4, half_life);
       }));
   must(RegisterSketchType<ExponentialHistogram>(
-      r, SketchTypeId::kExponentialHistogram,
+      r,
       [](const ExponentialHistogram& s) {
         return Fmt("windowed event count ~ %.0f", s.Estimate()) +
                Fmt(" over trailing %.0f time units",

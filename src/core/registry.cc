@@ -69,8 +69,10 @@ Status AnySketch::MergeFromView(const SketchView& view) {
 }
 
 std::vector<uint8_t> AnySketch::Serialize() const {
-  if (!has_value()) return {};
-  return impl_->Serialize();
+  std::vector<uint8_t> out;
+  ByteSink sink(&out);
+  SerializeTo(sink);
+  return out;
 }
 
 void AnySketch::SerializeTo(ByteSink& sink) const {

@@ -121,18 +121,16 @@ class AnySketch {
   /// without a Merge (e.g. Greenwald-Khanna) are kUnimplemented.
   Status Merge(const AnySketch& other);
 
-  /// Merges a wrapped serialized peer without materializing it when the
-  /// concrete type supports MergeFromView, falling back to
-  /// deserialize-then-merge otherwise. Type-tag mismatches are
-  /// kInvalidArgument, same as Merge.
+  /// Merges a wrapped serialized peer through gems::MergeFromView (zero
+  /// copy where the concrete type has it, materialize-then-merge
+  /// otherwise). Type-tag mismatches are kInvalidArgument, same as Merge.
   Status MergeFromView(const SketchView& view);
 
   /// Serializes to the standard wire envelope (empty vector if empty).
   std::vector<uint8_t> Serialize() const;
 
   /// Appends the wire envelope into a caller-owned buffer. Byte-identical
-  /// to Serialize(); appends nothing for an empty handle. Uses the concrete
-  /// type's allocation-free SerializeTo when it has one.
+  /// to Serialize(); appends nothing for an empty handle.
   void SerializeTo(ByteSink& sink) const;
 
   /// One-line human-readable summary of the sketch's current estimate.
@@ -171,7 +169,6 @@ class AnySketch {
     virtual Status Advance(uint64_t now) = 0;
     virtual Status MergeFrom(const Concept& other) = 0;
     virtual Status MergeFromView(const SketchView& view) = 0;
-    virtual std::vector<uint8_t> Serialize() const = 0;
     virtual void SerializeTo(ByteSink& sink) const = 0;
     virtual std::string EstimateSummary() const = 0;
     virtual Result<gems::Estimate> EstimateWithBounds(
@@ -272,34 +269,17 @@ class AnySketch {
     }
 
     Status MergeFromView(const SketchView& view) override {
-      if constexpr (ViewMergeableSummary<S>) {
-        // Zero-copy path: downcast the validated view and merge straight
-        // out of the wrapped buffer.
+      if constexpr (MergeableSummary<S>) {
         Result<View<S>> typed = View<S>::FromSketchView(view);
         if (!typed.ok()) return typed.status();
-        return sketch.MergeFromView(typed.value());
-      } else if constexpr (MergeableSummary<S>) {
-        // Fallback for types without a view merge: materialize once, then
-        // the ordinary merge. Still saves the caller the envelope copy.
-        Result<S> other = S::Deserialize(view.envelope());
-        if (!other.ok()) return other.status();
-        return sketch.Merge(other.value());
+        return gems::MergeFromView(sketch, typed.value());
       } else {
         return Status::Unimplemented("sketch type has no merge operation");
       }
     }
 
-    std::vector<uint8_t> Serialize() const override {
-      return sketch.Serialize();
-    }
-
     void SerializeTo(ByteSink& sink) const override {
-      if constexpr (SinkSerializableSummary<S>) {
-        sketch.SerializeTo(sink);
-      } else {
-        const std::vector<uint8_t> bytes = sketch.Serialize();
-        sink.PutRaw(bytes.data(), bytes.size());
-      }
+      sketch.SerializeTo(sink);
     }
 
     std::string EstimateSummary() const override { return estimate(sketch); }
@@ -454,14 +434,16 @@ class AnySketchView {
   const SketchRegistry::Entry* entry_ = nullptr;
 };
 
-/// Registers a concrete sketch type: its envelope deserializer, a
-/// default-parameter factory, and an estimate renderer.
+/// Registers a concrete sketch type under its S::kTypeId: its envelope
+/// deserializer, a default-parameter factory, and an estimate renderer.
 template <typename S>
+  requires SerializableSummary<S>
 Status RegisterSketchType(
-    SketchRegistry& registry, SketchTypeId id,
+    SketchRegistry& registry,
     std::function<std::string(const S&)> estimate,
     std::function<S()> make_default,
     std::function<Result<S>(const TimedSketchParams&)> make_timed = nullptr) {
+  constexpr SketchTypeId id = S::kTypeId;
   SketchRegistry::Entry entry;
   entry.name = SketchTypeName(id);
   entry.deserialize =

@@ -171,35 +171,36 @@ concept BatchTimedItemSummary =
       { s.UpdateBatchTimed(timestamps, items) };
     };
 
-/// A summary that serializes to bytes and back. Deserialize takes a
-/// borrowed span, so callers holding mmap'd or ring-buffer bytes never
-/// copy into a vector first.
+/// A summary that serializes to bytes and back: a family deriving from
+/// WireCodec (core/wire.h), which supplies Serialize(), SerializeTo(sink)
+/// and Deserialize(bytes) from the family's kTypeId and payload codec.
+/// Deserialize takes a borrowed span, so callers holding mmap'd or
+/// ring-buffer bytes never copy into a vector first, and SerializeTo
+/// appends exactly Serialize()'s bytes into a caller-owned buffer (an
+/// arena, a checkpoint body) with no intermediate allocation.
 template <typename S>
-concept SerializableSummary = requires(const S& s, ByteSpan bytes) {
-  { s.Serialize() } -> std::same_as<std::vector<uint8_t>>;
-  { S::Deserialize(bytes) } -> std::same_as<Result<S>>;
-};
+concept SerializableSummary = std::derived_from<S, WireCodec<S>>;
 
-/// A summary that can append its wire envelope into a caller-owned buffer
-/// (an arena, a checkpoint body) with no intermediate allocation. The
-/// contract is strict: the appended bytes must equal Serialize()'s output
-/// exactly, so the two forms are interchangeable on the wire.
+/// Merges a wrapped serialized peer into `into`: the one view-merge entry
+/// point. A family with a zero-copy member `MergeFromView(const View<S>&)`
+/// (private, with this function as its friend) merges straight out of the
+/// wrapped buffer; any other mergeable family materializes the peer once
+/// (re-verifying the checksum, as Deserialize does) and merges it. The
+/// contract (pinned by tests/view_test.cc and fuzz/fuzz_wire_view.cc) is
+/// strict either way: the status code equals deserialize-then-merge's, on
+/// success `into.Serialize()` is byte-identical to
+/// `into.Merge(*view.Materialize())`, and on failure `into` is unchanged.
 template <typename S>
-concept SinkSerializableSummary = requires(const S& s, ByteSink& sink) {
-  { s.SerializeTo(sink) };
-};
-
-/// A summary that can absorb a *wrapped* serialized peer without
-/// materializing it — the zero-copy half of the distributed-merge model.
-/// The contract (pinned by tests/view_test.cc) is strict: after
-/// `a.MergeFromView(v)`, `a.Serialize()` must be byte-identical to the
-/// deserialize-then-merge path `a.Merge(*v.Materialize())` from the same
-/// starting state, and malformed or incompatible views must yield Status
-/// errors, never UB.
-template <typename S>
-concept ViewMergeableSummary = requires(S s, const View<S>& view) {
-  { s.MergeFromView(view) } -> std::same_as<Status>;
-};
+  requires MergeableSummary<S>
+Status MergeFromView(S& into, const View<S>& view) {
+  if constexpr (requires { into.MergeFromView(view); }) {
+    return into.MergeFromView(view);
+  } else {
+    Result<S> peer = view.Materialize();
+    if (!peer.ok()) return peer.status();
+    return into.Merge(peer.value());
+  }
+}
 
 }  // namespace gems
 

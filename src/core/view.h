@@ -92,14 +92,6 @@ class SketchView {
   EnvelopeView meta_{};
 };
 
-/// A summary whose wire type id is known statically (declares
-/// `static constexpr SketchTypeId kTypeId`), so serialized bytes can be
-/// wrapped with compile-time type checking.
-template <typename S>
-concept WireTypedSummary = requires {
-  { S::kTypeId } -> std::convertible_to<SketchTypeId>;
-};
-
 /// A statically typed wrap of a serialized S. Obtained by validating raw
 /// bytes (Wrap) or by downcasting an already-validated SketchView
 /// (FromSketchView — revalidates only the type tag). Same borrowing

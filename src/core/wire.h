@@ -85,8 +85,9 @@ bool IsKnownSketchTypeId(uint16_t raw);
 /// "unknown" for ids this build does not know.
 const char* SketchTypeName(SketchTypeId id);
 
-/// Wraps a sketch payload in the standard envelope. Convenience owning
-/// form of EnvelopeBuilder below; both produce byte-identical envelopes.
+/// Wraps a hand-built payload in the standard envelope — for tests and
+/// fuzz drivers that forge images; sketch families get their envelope from
+/// WireCodec below. Byte-identical to EnvelopeBuilder over the same payload.
 std::vector<uint8_t> WrapEnvelope(SketchTypeId type,
                                   std::vector<uint8_t> payload);
 
@@ -173,6 +174,46 @@ Result<ByteReader> OpenEnvelope(SketchTypeId expected, ByteSpan bytes);
 /// validation — how type-agnostic consumers (registry, CLI `merge`)
 /// dispatch without being told the type.
 Result<SketchTypeId> PeekSketchType(ByteSpan bytes);
+
+/// The envelope half of every sketch family's codec, supplied once. A
+/// family derives from WireCodec<Family>, declares
+/// `static constexpr SketchTypeId kTypeId`, and implements only its
+/// payload:
+///
+///   void PutPayload(ByteSink& sink) const;
+///   static Result<Family> GetPayload(ByteReader& payload);
+///
+/// GetPayload receives a reader over exactly the payload of an envelope
+/// that already passed ParseEnvelope (checksum included) and carried
+/// kTypeId. It validates every declared size against the bytes left before
+/// it allocates anything sized by them. The base is empty, so deriving
+/// from it leaves sizeof(Family) unchanged.
+template <typename S>
+class WireCodec {
+ public:
+  /// The standard wire envelope around PutPayload's bytes.
+  std::vector<uint8_t> Serialize() const {
+    std::vector<uint8_t> out;
+    ByteSink sink(&out);
+    SerializeTo(sink);
+    return out;
+  }
+
+  /// Appends the envelope into a caller-owned buffer (an arena, a
+  /// checkpoint body); byte-identical to Serialize().
+  void SerializeTo(ByteSink& sink) const {
+    EnvelopeBuilder env(sink, S::kTypeId);
+    static_cast<const S&>(*this).PutPayload(sink);
+  }
+
+  /// Validates the envelope (kCorruption for any header, length, checksum
+  /// or type-tag fault) and decodes its payload.
+  static Result<S> Deserialize(ByteSpan bytes) {
+    Result<ByteReader> payload = OpenEnvelope(S::kTypeId, bytes);
+    if (!payload.ok()) return payload.status();
+    return S::GetPayload(payload.value());
+  }
+};
 
 }  // namespace gems
 

@@ -110,10 +110,11 @@ Result<S> AggregateTree(std::vector<S> leaves) {
   return AggregateTree(std::move(leaves), 2, nullptr);
 }
 
-/// Merges serialized leaf envelopes up a fanout-`fanout` tree without
-/// materializing them: each leaf-level group materializes only its first
-/// envelope (the accumulator) and absorbs the rest via MergeFromView,
-/// straight out of the caller's buffers. Upper levels run the ordinary
+/// Merges serialized leaf envelopes up a fanout-`fanout` tree: each
+/// leaf-level group materializes only its first envelope (the accumulator)
+/// and absorbs the rest via MergeFromView, straight out of the caller's
+/// buffers for the families with a zero-copy view merge and through one
+/// materialized peer for the rest. Upper levels run the ordinary
 /// AggregateTree over the group accumulators, so the root is byte-identical
 /// (Serialize()) to deserializing every envelope and calling AggregateTree
 /// — that equivalence is pinned by tests/view_test.cc.
@@ -127,8 +128,7 @@ Result<S> AggregateTree(std::vector<S> leaves) {
 /// The envelopes are borrowed and must stay alive and unmodified for the
 /// duration of the call.
 template <typename S>
-  requires MergeableSummary<S> && ViewMergeableSummary<S> &&
-           SerializableSummary<S>
+  requires MergeableSummary<S> && SerializableSummary<S>
 Result<S> AggregateTreeFromEnvelopes(std::span<const ByteSpan> envelopes,
                                      int fanout,
                                      AggregationStats* stats = nullptr) {
@@ -155,7 +155,7 @@ Result<S> AggregateTreeFromEnvelopes(std::span<const ByteSpan> envelopes,
         ++local.num_messages;
         local.envelope_overhead_bytes += kWireHeaderSize;
       }
-      Status s = combined.value().MergeFromView(view.value());
+      Status s = MergeFromView(combined.value(), view.value());
       if (!s.ok()) return s;
       ++local.num_merges;
     }
@@ -243,8 +243,7 @@ Result<S> ParallelAggregateTree(std::vector<S> leaves, int fanout,
 /// the deserialize-everything AggregateTree. Stats report depth and merge
 /// count only, like ParallelAggregateTree.
 template <typename S>
-  requires MergeableSummary<S> && ViewMergeableSummary<S> &&
-           SerializableSummary<S>
+  requires MergeableSummary<S> && SerializableSummary<S>
 Result<S> ParallelAggregateTreeFromEnvelopes(
     std::span<const ByteSpan> envelopes, int fanout, ThreadPool* pool,
     AggregationStats* stats = nullptr) {
@@ -282,7 +281,7 @@ Result<S> ParallelAggregateTreeFromEnvelopes(
           statuses[g] = view.status();
           return;
         }
-        Status s = combined.value().MergeFromView(view.value());
+        Status s = MergeFromView(combined.value(), view.value());
         if (!s.ok()) {
           statuses[g] = std::move(s);
           return;

@@ -243,10 +243,10 @@ class ShardedPipeline {
   /// caller-owned arena (appending, never clearing) and returns the span
   /// of the root's envelope within it — the shape a combiner that ships
   /// its output over the wire wants, with no per-result allocation beyond
-  /// the arena's own growth. Requires a sink-serializable summary. May be
+  /// the arena's own growth. Requires a serializable summary. May be
   /// called once, instead of Finish().
   Result<ByteSpan> FinishInto(std::vector<uint8_t>* arena)
-    requires SinkSerializableSummary<S>
+    requires SerializableSummary<S>
   {
     GEMS_CHECK(arena != nullptr);
     Result<S> root = Finish();

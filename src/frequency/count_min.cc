@@ -23,6 +23,7 @@ using simd::internal::CmBlockCol;
 using simd::internal::CmBlockedAddOne;
 using simd::internal::CmBlockedMinOne;
 using simd::internal::ForEachBlock;
+using simd::internal::ForEachBlockedWireSlot;
 using simd::internal::kCmBlockSlots;
 
 // Two-phase software prefetch in the flat batched loops only pays once a
@@ -395,12 +396,8 @@ Status CountMinSketch::Merge(const CountMinSketch& other) {
   return Status::Ok();
 }
 
-Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
-  // Deserialize's validation order, then Merge's compatibility check, then
-  // the counter sum streamed off the wrapped varint payload. The varints
-  // are walked twice — once to validate, once to add — so a truncated
-  // payload fails with Deserialize's read error before any counter moves.
-  ByteReader r = view.PayloadReader();
+Result<CountMinSketch::WireHeader> CountMinSketch::ReadWireHeader(
+    ByteReader& r, std::optional<CountMinSketch>* flat) {
   uint32_t width, depth;
   uint64_t seed;
   uint8_t conservative;
@@ -414,157 +411,114 @@ Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
       static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
     return Status::Corruption("invalid CountMin shape");
   }
-  ByteReader counters = r;  // Rewind point for the add pass.
+  // Every counter is a varint of at least one byte: claim them all before
+  // anything is allocated. The whole grid is then walked, so a truncated
+  // image fails before a view merge moves a counter; a decode reads the
+  // counters (wire order is the flat matrix) into `flat` on the same walk.
   const uint64_t n = static_cast<uint64_t>(width) * depth;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t counter;
-    if (Status sv = r.GetVarint(&counter); !sv.ok()) return sv;
+  if (Status sv = r.CheckColumn(n, 1); !sv.ok()) return sv;
+  const ByteReader counters = r;
+  if (flat != nullptr) {
+    flat->emplace(width, depth, seed, conservative != 0);
+    for (uint64_t& counter : (*flat)->counters_) {
+      if (Status sv = r.GetVarint(&counter); !sv.ok()) return sv;
+    }
+  } else {
+    for (uint64_t i = 0; i < n; ++i) {
+      uint64_t counter;
+      if (Status sv = r.GetVarint(&counter); !sv.ok()) return sv;
+    }
   }
-  // Optional trailing layout byte: absent or 0 means flat, 1 means the
-  // peer was blocked (wire counters are flat-permuted either way).
-  SketchLayout wire_layout = SketchLayout::kFlat;
+  // Optional trailing layout byte (see PutPayload): absent or 0 is flat,
+  // 1 is blocked.
+  SketchLayout layout = SketchLayout::kFlat;
   if (!r.AtEnd()) {
     uint8_t layout_byte;
     if (Status sl = r.GetU8(&layout_byte); !sl.ok()) return sl;
     if (layout_byte > 1) {
       return Status::Corruption("invalid CountMin layout byte");
     }
-    wire_layout = static_cast<SketchLayout>(layout_byte);
+    layout = static_cast<SketchLayout>(layout_byte);
   }
-  if (width != width_ || depth != depth_ || seed != seed_ ||
-      wire_layout != layout_) {
+  if (layout == SketchLayout::kBlocked) {
+    if (depth > static_cast<uint32_t>(kCmBlockSlots)) {
+      // The blocked ctor aborts past one block's worth of rows.
+      return Status::Corruption("CountMin blocked depth exceeds block");
+    }
+    if (width % BlockColsFor(depth) != 0) {
+      // A blocked sketch always serializes its rounded width, so a width
+      // that is not a multiple of the block columns cannot round-trip.
+      return Status::Corruption("CountMin blocked width not block-aligned");
+    }
+  }
+  return WireHeader{width, depth, seed, conservative != 0, total, layout,
+                    counters};
+}
+
+template <typename Visit>
+void CountMinSketch::ForEachWireSlot(Visit&& visit) const {
+  if (layout_ == SketchLayout::kBlocked) {
+    ForEachBlockedWireSlot(depth_, width_, cols_, visit);
+    return;
+  }
+  for (uint64_t slot = 0; slot < counters_.size(); ++slot) visit(slot);
+}
+
+Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
+  // GetPayload's header parse, then Merge's compatibility check, then the
+  // counter sum streamed off the wrapped varints.
+  ByteReader r = view.PayloadReader();
+  Result<WireHeader> header = ReadWireHeader(r, nullptr);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  if (wire.width != width_ || wire.depth != depth_ || wire.seed != seed_ ||
+      wire.layout != layout_) {
     return Status::InvalidArgument(
         "CountMin merge requires identical shape, seed, and layout");
   }
   // A hostile image can carry any total; refuse one that would overflow
   // before any counter moves.
   int64_t merged_total = 0;
-  if (__builtin_add_overflow(total_, total, &merged_total)) {
+  if (__builtin_add_overflow(total_, wire.total, &merged_total)) {
     return Status::OutOfRange("CountMin merge overflows the total weight");
   }
-  if (layout_ == SketchLayout::kBlocked) {
-    // The wire walks the logical flat matrix row-major; flat column
-    // b*cols_+j of row r lives at slot b*8 + r*cols_ + j here.
-    const uint32_t col_shift = std::countr_zero(cols_);
-    const uint32_t col_mask = cols_ - 1;
-    for (uint32_t row = 0; row < depth_; ++row) {
-      for (uint32_t col = 0; col < width_; ++col) {
-        uint64_t counter;
-        if (Status sv = counters.GetVarint(&counter); !sv.ok()) return sv;
-        counters_[(static_cast<uint64_t>(col >> col_shift) * kCmBlockSlots) +
-                  row * cols_ + (col & col_mask)] += counter;
-      }
-    }
-    total_ = merged_total;
-    return Status::Ok();
-  }
-  for (uint64_t& ours : counters_) {
-    uint64_t counter;
-    if (Status sv = counters.GetVarint(&counter); !sv.ok()) return sv;
-    ours += counter;
-  }
+  ByteReader counters = wire.counters;
+  ForEachWireSlot([&](uint64_t slot) {
+    uint64_t counter = 0;
+    (void)counters.GetVarint(&counter);  // ReadWireHeader walked them all.
+    counters_[slot] += counter;
+  });
   total_ = merged_total;
   return Status::Ok();
 }
 
-std::vector<uint8_t> CountMinSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + 25 + counters_.size());
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void CountMinSketch::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void CountMinSketch::PutPayload(ByteSink& sink) const {
   sink.PutU32(width_);
   sink.PutU32(depth_);
   sink.PutU64(seed_);
   sink.PutU8(conservative_ ? 1 : 0);
   sink.PutI64(total_);
-  if (layout_ == SketchLayout::kBlocked) {
-    // Wire counters are always the logical flat matrix, row-major: flat
-    // column b*cols_+j of row r lives at slot b*8 + r*cols_ + j. A single
-    // trailing byte records the layout so Deserialize rebuilds a blocked
-    // sketch; flat sketches write nothing extra, keeping their wire bytes
-    // identical to every earlier release.
-    const uint32_t col_shift = std::countr_zero(cols_);
-    const uint32_t col_mask = cols_ - 1;
-    for (uint32_t row = 0; row < depth_; ++row) {
-      for (uint32_t col = 0; col < width_; ++col) {
-        sink.PutVarint(
-            counters_[(static_cast<uint64_t>(col >> col_shift) *
-                       kCmBlockSlots) +
-                      row * cols_ + (col & col_mask)]);
-      }
-    }
-    sink.PutU8(1);
-    return;
-  }
-  for (uint64_t counter : counters_) sink.PutVarint(counter);
+  // Wire counters are always the logical flat matrix, row-major. A blocked
+  // sketch adds one trailing layout byte so GetPayload rebuilds it blocked;
+  // flat sketches write nothing extra, keeping their wire bytes identical
+  // to every earlier release.
+  ForEachWireSlot([&](uint64_t slot) { sink.PutVarint(counters_[slot]); });
+  if (layout_ == SketchLayout::kBlocked) sink.PutU8(1);
 }
 
-Result<CountMinSketch> CountMinSketch::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kCountMin, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
-  uint32_t width, depth;
-  uint64_t seed;
-  uint8_t conservative;
-  int64_t total;
-  if (Status sw = r.GetU32(&width); !sw.ok()) return sw;
-  if (Status sd = r.GetU32(&depth); !sd.ok()) return sd;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (Status sc = r.GetU8(&conservative); !sc.ok()) return sc;
-  if (Status st = r.GetI64(&total); !st.ok()) return st;
-  if (width == 0 || depth == 0 ||
-      static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
-    return Status::Corruption("invalid CountMin shape");
-  }
-  // Every counter is a varint of at least one byte.
-  if (Status sv = r.CheckColumn(static_cast<uint64_t>(width) * depth, 1);
-      !sv.ok()) {
-    return sv;
-  }
-  CountMinSketch sketch(width, depth, seed, conservative != 0);
-  sketch.total_ = total;
-  for (uint64_t& counter : sketch.counters_) {
-    if (Status sv = r.GetVarint(&counter); !sv.ok()) return sv;
-  }
-  // Optional trailing layout byte (see SerializeTo): absent or 0 is the
-  // flat fast path above; 1 re-permutes the flat counters into a blocked
-  // sketch.
-  if (r.AtEnd()) return sketch;
-  uint8_t layout_byte;
-  if (Status sl = r.GetU8(&layout_byte); !sl.ok()) return sl;
-  if (layout_byte == 0) return sketch;
-  if (layout_byte != 1) {
-    return Status::Corruption("invalid CountMin layout byte");
-  }
-  if (depth > 8) {
-    // The blocked ctor aborts past one block's worth of rows; surface the
-    // corrupt combination as a status instead.
-    return Status::Corruption("CountMin blocked depth exceeds block");
-  }
-  CountMinSketch blocked(width, depth, seed, conservative != 0,
+Result<CountMinSketch> CountMinSketch::GetPayload(ByteReader& r) {
+  std::optional<CountMinSketch> flat;
+  Result<WireHeader> header = ReadWireHeader(r, &flat);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  flat->total_ = wire.total;
+  if (wire.layout == SketchLayout::kFlat) return std::move(*flat);
+  CountMinSketch blocked(wire.width, wire.depth, wire.seed, wire.conservative,
                          SketchLayout::kBlocked);
-  if (blocked.width_ != width) {
-    // A blocked sketch always serializes its rounded width, so a width
-    // that is not a multiple of the block columns cannot round-trip.
-    return Status::Corruption("CountMin blocked width not block-aligned");
-  }
-  blocked.total_ = total;
-  const uint32_t col_shift = std::countr_zero(blocked.cols_);
-  const uint32_t col_mask = blocked.cols_ - 1;
-  for (uint32_t row = 0; row < depth; ++row) {
-    for (uint32_t col = 0; col < width; ++col) {
-      blocked.counters_[(static_cast<uint64_t>(col >> col_shift) *
-                         kCmBlockSlots) +
-                        row * blocked.cols_ + (col & col_mask)] =
-          sketch.counters_[static_cast<size_t>(row) * width + col];
-    }
-  }
+  blocked.total_ = wire.total;
+  uint64_t i = 0;
+  blocked.ForEachWireSlot(
+      [&](uint64_t slot) { blocked.counters_[slot] = flat->counters_[i++]; });
   return blocked;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -11,7 +12,9 @@
 #include "common/status.h"
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/summary.h"
 #include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// Count-Min sketch (Cormode & Muthukrishnan 2005). The paper presents it
@@ -25,7 +28,7 @@
 namespace gems {
 
 /// Count-Min sketch over non-negative weighted updates.
-class CountMinSketch {
+class CountMinSketch : public WireCodec<CountMinSketch> {
  public:
   /// Wire-format type tag, for View<CountMinSketch> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kCountMin;
@@ -106,11 +109,6 @@ class CountMinSketch {
   /// Counter-wise sum; requires identical shape and seed.
   Status Merge(const CountMinSketch& other);
 
-  /// Counter-wise sum streamed straight off a wrapped serialized peer —
-  /// no materialization. Byte-identical result to
-  /// Merge(*view.Materialize()).
-  Status MergeFromView(const View<CountMinSketch>& view);
-
   uint32_t width() const { return width_; }
   uint32_t depth() const { return depth_; }
   uint64_t seed() const { return seed_; }
@@ -131,14 +129,41 @@ class CountMinSketch {
     return Bucket(row, item);
   }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<CountMinSketch> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<CountMinSketch> GetPayload(ByteReader& payload);
 
  private:
+  /// gems::MergeFromView (core/summary.h) is the one public entry point;
+  /// it calls this zero-copy member.
+  template <typename S>
+    requires MergeableSummary<S>
+  friend Status MergeFromView(S& into, const View<S>& view);
+  /// Counter-wise sum streamed straight off a wrapped serialized peer —
+  /// no materialization. Byte-identical result to
+  /// Merge(*view.Materialize()).
+  Status MergeFromView(const View<CountMinSketch>& view);
+
+  /// A validated wire image: the header, the layout, and a reader at the
+  /// first of the width * depth counter varints (already walked).
+  struct WireHeader {
+    uint32_t width;
+    uint32_t depth;
+    uint64_t seed;
+    bool conservative;
+    int64_t total;
+    SketchLayout layout;
+    ByteReader counters;
+  };
+  /// The one header parse, shared by GetPayload and MergeFromView so both
+  /// refuse the same images with the same status. A non-null `flat`
+  /// receives the counters as a flat sketch, decoded on the validating walk.
+  static Result<WireHeader> ReadWireHeader(ByteReader& payload,
+                                           std::optional<CountMinSketch>* flat);
+  /// Calls visit(slot) for each counter's storage slot in wire order.
+  template <typename Visit>
+  void ForEachWireSlot(Visit&& visit) const;
+
   uint64_t Bucket(uint32_t row, uint64_t item) const;
   void UpdateBatchConservative(std::span<const uint64_t> items);
   /// Fills out[0..depth) with the counter each row holds for `item`,

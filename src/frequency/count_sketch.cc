@@ -22,6 +22,7 @@ using simd::internal::CmBlockCol;
 using simd::internal::CsBlockedAddOne;
 using simd::internal::CsBlockSign;
 using simd::internal::ForEachBlock;
+using simd::internal::ForEachBlockedWireSlot;
 using simd::internal::kCmBlockSlots;
 
 // Same big-row gate as Count-Min's flat prefetch pass (see count_min.cc).
@@ -226,12 +227,7 @@ Status CountSketch::Merge(const CountSketch& other) {
   return Status::Ok();
 }
 
-Status CountSketch::MergeFromView(const View<CountSketch>& view) {
-  // Deserialize's validation order, then Merge's compatibility check, then
-  // the counter sum streamed off the wrapped payload. The whole counter
-  // array is claimed up front, so a truncated payload fails with
-  // Deserialize's read error before any counter moves.
-  ByteReader r = view.PayloadReader();
+Result<CountSketch::WireHeader> CountSketch::ReadWireHeader(ByteReader& r) {
   uint32_t width, depth;
   uint64_t seed;
   if (Status sw = r.GetU32(&width); !sw.ok()) return sw;
@@ -241,131 +237,97 @@ Status CountSketch::MergeFromView(const View<CountSketch>& view) {
       static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
     return Status::Corruption("invalid CountSketch shape");
   }
-  std::span<const uint8_t> raw;
+  // Claim the whole counter array, so a truncated image fails before a
+  // decode allocates or a view merge moves a counter.
+  ByteSpan counters;
   if (Status sv =
-          r.GetRawView(static_cast<size_t>(width) * depth * 8, &raw);
+          r.GetRawView(static_cast<size_t>(width) * depth * 8, &counters);
       !sv.ok()) {
     return sv;
   }
-  // Optional trailing layout byte: absent or 0 means flat, 1 means the
-  // peer was blocked (wire counters are flat-permuted either way).
-  SketchLayout wire_layout = SketchLayout::kFlat;
+  // Optional trailing layout byte (see PutPayload): absent or 0 is flat,
+  // 1 is blocked.
+  SketchLayout layout = SketchLayout::kFlat;
   if (!r.AtEnd()) {
     uint8_t layout_byte;
     if (Status sl = r.GetU8(&layout_byte); !sl.ok()) return sl;
     if (layout_byte > 1) {
       return Status::Corruption("invalid CountSketch layout byte");
     }
-    wire_layout = static_cast<SketchLayout>(layout_byte);
+    layout = static_cast<SketchLayout>(layout_byte);
   }
-  if (width != width_ || depth != depth_ || seed != seed_ ||
-      wire_layout != layout_) {
+  if (layout == SketchLayout::kBlocked) {
+    if (depth > static_cast<uint32_t>(kCmBlockSlots)) {
+      return Status::Corruption("CountSketch blocked depth exceeds block");
+    }
+    if (width % BlockColsFor(depth) != 0) {
+      return Status::Corruption("CountSketch blocked width not block-aligned");
+    }
+  }
+  return WireHeader{width, depth, seed, layout, counters};
+}
+
+Status CountSketch::MergeFromView(const View<CountSketch>& view) {
+  // GetPayload's header parse, then Merge's compatibility check, then the
+  // counter sum streamed off the wrapped payload.
+  ByteReader r = view.PayloadReader();
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  if (wire.width != width_ || wire.depth != depth_ || wire.seed != seed_ ||
+      wire.layout != layout_) {
     return Status::InvalidArgument(
         "CountSketch merge requires identical shape, seed, and layout");
   }
-  const auto counter = [&raw](size_t i) {
-    return static_cast<int64_t>(LoadLittleEndian<uint64_t>(raw.data() + 8 * i));
+  const uint8_t* raw = wire.counters.data();
+  // Unsigned wrapping add, as Merge's i64_add kernel does: a hostile
+  // counter near INT64_MIN wraps instead of hitting signed-overflow UB.
+  const auto add = [&](uint64_t slot) {
+    counters_[slot] = static_cast<int64_t>(
+        static_cast<uint64_t>(counters_[slot]) +
+        LoadLittleEndian<uint64_t>(raw));
+    raw += 8;
   };
   if (layout_ == SketchLayout::kBlocked) {
-    // The wire walks the logical flat matrix row-major; flat column
-    // b*cols_+j of row r lives at slot b*8 + r*cols_ + j here.
-    const uint32_t col_shift = std::countr_zero(cols_);
-    const uint32_t col_mask = cols_ - 1;
-    for (uint32_t row = 0; row < depth_; ++row) {
-      for (uint32_t col = 0; col < width_; ++col) {
-        counters_[(static_cast<uint64_t>(col >> col_shift) * kCmBlockSlots) +
-                  row * cols_ + (col & col_mask)] +=
-            counter(static_cast<size_t>(row) * width_ + col);
-      }
-    }
-    return Status::Ok();
+    ForEachBlockedWireSlot(depth_, width_, cols_, add);
+  } else {
+    for (size_t slot = 0; slot < counters_.size(); ++slot) add(slot);
   }
-  for (size_t i = 0; i < counters_.size(); ++i) counters_[i] += counter(i);
   return Status::Ok();
 }
 
-std::vector<uint8_t> CountSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + 16 + counters_.size() * 8);
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void CountSketch::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void CountSketch::PutPayload(ByteSink& sink) const {
   sink.PutU32(width_);
   sink.PutU32(depth_);
   sink.PutU64(seed_);
   if (layout_ == SketchLayout::kBlocked) {
-    // Wire counters are always the logical flat matrix, row-major (see the
-    // Count-Min twin for the permutation); one trailing byte records the
-    // layout. Flat sketches write nothing extra, keeping their wire bytes
-    // identical to every earlier release.
-    const uint32_t col_shift = std::countr_zero(cols_);
-    const uint32_t col_mask = cols_ - 1;
-    for (uint32_t row = 0; row < depth_; ++row) {
-      for (uint32_t col = 0; col < width_; ++col) {
-        sink.PutI64(
-            counters_[(static_cast<uint64_t>(col >> col_shift) *
-                       kCmBlockSlots) +
-                      row * cols_ + (col & col_mask)]);
-      }
-    }
+    // Wire counters are always the logical flat matrix, row-major; one
+    // trailing byte records the layout. Flat sketches write nothing extra,
+    // keeping their wire bytes identical to every earlier release.
+    ForEachBlockedWireSlot(depth_, width_, cols_, [&](uint64_t slot) {
+      sink.PutI64(counters_[slot]);
+    });
     sink.PutU8(1);
     return;
   }
   sink.PutI64s(counters_);
 }
 
-Result<CountSketch> CountSketch::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kCountSketch, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
-  uint32_t width, depth;
-  uint64_t seed;
-  if (Status sw = r.GetU32(&width); !sw.ok()) return sw;
-  if (Status sd = r.GetU32(&depth); !sd.ok()) return sd;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (width == 0 || depth == 0 ||
-      static_cast<uint64_t>(width) * depth > (uint64_t{1} << 32)) {
-    return Status::Corruption("invalid CountSketch shape");
+Result<CountSketch> CountSketch::GetPayload(ByteReader& r) {
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  CountSketch sketch(wire.width, wire.depth, wire.seed, wire.layout);
+  ByteReader counters(wire.counters);
+  if (wire.layout == SketchLayout::kBlocked) {
+    ForEachBlockedWireSlot(
+        wire.depth, wire.width, sketch.cols_, [&](uint64_t slot) {
+          (void)counters.GetI64(&sketch.counters_[slot]);
+        });
+    return sketch;
   }
-  if (Status sv = r.CheckColumn(static_cast<uint64_t>(width) * depth, 8);
-      !sv.ok()) {
-    return sv;
-  }
-  CountSketch sketch(width, depth, seed);
-  if (Status sv = r.GetI64s(sketch.counters_); !sv.ok()) return sv;
-  // Optional trailing layout byte (see SerializeTo): absent or 0 is the
-  // flat fast path above; 1 re-permutes the flat counters into a blocked
-  // sketch.
-  if (r.AtEnd()) return sketch;
-  uint8_t layout_byte;
-  if (Status sl = r.GetU8(&layout_byte); !sl.ok()) return sl;
-  if (layout_byte == 0) return sketch;
-  if (layout_byte != 1) {
-    return Status::Corruption("invalid CountSketch layout byte");
-  }
-  if (depth > 8) {
-    return Status::Corruption("CountSketch blocked depth exceeds block");
-  }
-  CountSketch blocked(width, depth, seed, SketchLayout::kBlocked);
-  if (blocked.width_ != width) {
-    return Status::Corruption("CountSketch blocked width not block-aligned");
-  }
-  const uint32_t col_shift = std::countr_zero(blocked.cols_);
-  const uint32_t col_mask = blocked.cols_ - 1;
-  for (uint32_t row = 0; row < depth; ++row) {
-    for (uint32_t col = 0; col < width; ++col) {
-      blocked.counters_[(static_cast<uint64_t>(col >> col_shift) *
-                         kCmBlockSlots) +
-                        row * blocked.cols_ + (col & col_mask)] =
-          sketch.counters_[static_cast<size_t>(row) * width + col];
-    }
-  }
-  return blocked;
+  if (Status sv = counters.GetI64s(sketch.counters_); !sv.ok()) return sv;
+  return sketch;
 }
 
 }  // namespace gems

@@ -10,7 +10,9 @@
 #include "common/status.h"
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/summary.h"
 #include "core/view.h"
+#include "core/wire.h"
 #include "hash/polynomial.h"
 
 /// \file
@@ -27,7 +29,7 @@
 namespace gems {
 
 /// Count sketch over signed weighted updates.
-class CountSketch {
+class CountSketch : public WireCodec<CountSketch> {
  public:
   /// Wire-format type tag, for View<CountSketch> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kCountSketch;
@@ -75,23 +77,39 @@ class CountSketch {
   /// Counter-wise sum; requires identical shape and seed.
   Status Merge(const CountSketch& other);
 
-  /// Counter-wise sum streamed straight off a wrapped serialized peer —
-  /// no materialization. Byte-identical result to
-  /// Merge(*view.Materialize()).
-  Status MergeFromView(const View<CountSketch>& view);
-
   uint32_t width() const { return width_; }
   uint32_t depth() const { return depth_; }
   SketchLayout layout() const { return layout_; }
   size_t MemoryBytes() const { return counters_.size() * sizeof(int64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<CountSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<CountSketch> GetPayload(ByteReader& payload);
 
  private:
+  /// gems::MergeFromView (core/summary.h) is the one public entry point;
+  /// it calls this zero-copy member.
+  template <typename S>
+    requires MergeableSummary<S>
+  friend Status MergeFromView(S& into, const View<S>& view);
+  /// Counter-wise sum streamed straight off a wrapped serialized peer —
+  /// no materialization. Byte-identical result to
+  /// Merge(*view.Materialize()).
+  Status MergeFromView(const View<CountSketch>& view);
+
+  /// A validated wire image: the header, the layout, and the width * depth
+  /// little-endian counters in wire (flat row-major) order.
+  struct WireHeader {
+    uint32_t width;
+    uint32_t depth;
+    uint64_t seed;
+    SketchLayout layout;
+    ByteSpan counters;
+  };
+  /// The one header parse, shared by GetPayload and MergeFromView so both
+  /// refuse the same images with the same status.
+  static Result<WireHeader> ReadWireHeader(ByteReader& payload);
+
   uint64_t Bucket(uint32_t row, uint64_t item) const;
   int Sign(uint32_t row, uint64_t item) const;
   /// Both UpdateBatch overloads; `weights == nullptr` means unit weight.

@@ -161,29 +161,22 @@ Status MisraGries::Merge(const MisraGries& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> MisraGries::Serialize() const {
-  ByteWriter w;
-  w.PutVarint(num_counters_);
-  w.PutI64(total_);
-  w.PutI64(decrement_total_);
-  w.PutVarint(counters_.size());
+void MisraGries::PutPayload(ByteSink& sink) const {
+  sink.PutVarint(num_counters_);
+  sink.PutI64(total_);
+  sink.PutI64(decrement_total_);
+  sink.PutVarint(counters_.size());
   // Canonical order so identical summaries serialize to identical bytes.
   std::vector<std::pair<uint64_t, int64_t>> sorted(counters_.begin(),
                                                    counters_.end());
   std::sort(sorted.begin(), sorted.end());
   for (const auto& [item, count] : sorted) {
-    w.PutU64(item);
-    w.PutI64(count);
+    sink.PutU64(item);
+    sink.PutI64(count);
   }
-  return WrapEnvelope(SketchTypeId::kMisraGries,
-                      std::move(w).TakeBytes());
 }
 
-Result<MisraGries> MisraGries::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kMisraGries, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<MisraGries> MisraGries::GetPayload(ByteReader& r) {
   uint64_t num_counters, num_entries;
   int64_t total, decrements;
   if (Status sn = r.GetVarint(&num_counters); !sn.ok()) return sn;

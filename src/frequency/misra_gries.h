@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 
 /// \file
 /// Misra-Gries frequent items (1982), the generalization of Boyer-Moore
@@ -21,8 +22,11 @@
 namespace gems {
 
 /// Misra-Gries summary with at most `num_counters` tracked items.
-class MisraGries {
+class MisraGries : public WireCodec<MisraGries> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kMisraGries;
+
   explicit MisraGries(size_t num_counters);
 
   MisraGries(const MisraGries&) = default;
@@ -66,8 +70,9 @@ class MisraGries {
   size_t num_counters() const { return num_counters_; }
   size_t NumTracked() const { return counters_.size(); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<MisraGries> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<MisraGries> GetPayload(ByteReader& payload);
 
  private:
   size_t num_counters_;

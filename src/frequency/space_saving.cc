@@ -438,21 +438,7 @@ Status SpaceSaving::Merge(const SpaceSaving& other) {
   return Status::Ok();
 }
 
-Status SpaceSaving::MergeFromView(const View<SpaceSaving>& view) {
-  Result<SpaceSaving> other = view.Materialize();
-  if (!other.ok()) return other.status();
-  return Merge(other.value());
-}
-
-std::vector<uint8_t> SpaceSaving::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void SpaceSaving::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void SpaceSaving::PutPayload(ByteSink& sink) const {
   sink.PutVarint(capacity_);
   sink.PutI64(total_);
   sink.PutVarint(slots_.size());
@@ -464,11 +450,7 @@ void SpaceSaving::SerializeTo(ByteSink& sink) const {
   }
 }
 
-Result<SpaceSaving> SpaceSaving::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kSpaceSaving, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<SpaceSaving> SpaceSaving::GetPayload(ByteReader& r) {
   uint64_t capacity, num_entries;
   int64_t total;
   if (Status sc = r.GetVarint(&capacity); !sc.ok()) return sc;

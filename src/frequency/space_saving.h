@@ -9,7 +9,7 @@
 #include "common/status.h"
 #include "core/estimate.h"
 #include "core/io.h"
-#include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// SpaceSaving (Metwally, Agrawal & El Abbadi 2005): the deterministic
@@ -74,7 +74,7 @@ namespace gems {
 /// touched and new slots are sorted and merged with the untouched,
 /// still-ordered run. Canonical order is a strict total order over
 /// distinct items, so the result is the same as one full sort.
-class SpaceSaving {
+class SpaceSaving : public WireCodec<SpaceSaving> {
  public:
   /// Wire-format type tag, for View<SpaceSaving> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kSpaceSaving;
@@ -151,12 +151,6 @@ class SpaceSaving {
   /// the slots in canonical (count desc, item asc) order.
   Status Merge(const SpaceSaving& other);
 
-  /// Merges a wrapped serialized peer. The merge rebuilds the tracked set
-  /// (fold, order, truncate), so this materializes one temporary from
-  /// the view (skipping only the caller-side envelope copy) —
-  /// byte-identical to Merge(*view.Materialize()) by construction.
-  Status MergeFromView(const View<SpaceSaving>& view);
-
   int64_t TotalWeight() const { return total_; }
   size_t capacity() const { return capacity_; }
   size_t NumTracked() const { return slots_.size(); }
@@ -165,13 +159,11 @@ class SpaceSaving {
   /// Update builds it, and again after Merge or Deserialize).
   size_t IndexBytes() const;
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  /// kCorruption on a malformed image, including one that lists an item
-  /// twice.
-  static Result<SpaceSaving> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  /// GetPayload refuses (kCorruption) a malformed image, including one
+  /// that lists an item twice.
+  void PutPayload(ByteSink& sink) const;
+  static Result<SpaceSaving> GetPayload(ByteReader& payload);
 
  private:
   struct Slot {

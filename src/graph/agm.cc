@@ -161,22 +161,16 @@ Status AgmSketch::Merge(const AgmSketch& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> AgmSketch::Serialize() const {
-  ByteWriter w;
-  w.PutU32(num_vertices_);
-  w.PutU64(seed_);
-  w.PutVarint(static_cast<uint64_t>(options_.num_copies));
-  w.PutVarint(options_.sparsity);
-  w.PutVarint(options_.num_rows);
-  for (const L0Sampler& sampler : samplers_) sampler.EncodeTo(&w);
-  return WrapEnvelope(SketchTypeId::kAgmSketch,
-                      std::move(w).TakeBytes());
+void AgmSketch::PutPayload(ByteSink& sink) const {
+  sink.PutU32(num_vertices_);
+  sink.PutU64(seed_);
+  sink.PutVarint(static_cast<uint64_t>(options_.num_copies));
+  sink.PutVarint(options_.sparsity);
+  sink.PutVarint(options_.num_rows);
+  for (const L0Sampler& sampler : samplers_) sampler.PutPayload(sink);
 }
 
-Result<AgmSketch> AgmSketch::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kAgmSketch, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<AgmSketch> AgmSketch::GetPayload(ByteReader& r) {
   uint32_t num_vertices;
   uint64_t seed, num_copies, sparsity, num_rows;
   if (Status sv = r.GetU32(&num_vertices); !sv.ok()) return sv;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 #include "sampling/l0_sampler.h"
 
 /// \file
@@ -27,8 +28,11 @@ struct Edge {
 };
 
 /// Sketch of a dynamic graph on `num_vertices` vertices.
-class AgmSketch {
+class AgmSketch : public WireCodec<AgmSketch> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kAgmSketch;
+
   struct Options {
     /// Independent sampler copies; one is consumed per Boruvka round, so
     /// this caps the rounds (log2(n) + slack is plenty).
@@ -76,8 +80,9 @@ class AgmSketch {
   /// can ship its local edge-set sketch to a coordinator — the
   /// communication pattern the AGM setting is about. Size is
   /// O(num_vertices * num_copies * sampler size).
-  std::vector<uint8_t> Serialize() const;
-  static Result<AgmSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<AgmSketch> GetPayload(ByteReader& payload);
 
  private:
   void UpdateEdge(uint32_t u, uint32_t v, int64_t weight);

@@ -77,21 +77,14 @@ Status BlockedBloomFilter::Merge(const BlockedBloomFilter& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> BlockedBloomFilter::Serialize() const {
-  ByteWriter w;
-  w.PutU64(num_blocks_);
-  w.PutU8(static_cast<uint8_t>(num_hashes_));
-  w.PutU64(seed_);
-  w.PutU64s(words_);
-  return WrapEnvelope(SketchTypeId::kBlockedBloomFilter,
-                      std::move(w).TakeBytes());
+void BlockedBloomFilter::PutPayload(ByteSink& sink) const {
+  sink.PutU64(num_blocks_);
+  sink.PutU8(static_cast<uint8_t>(num_hashes_));
+  sink.PutU64(seed_);
+  sink.PutU64s(words_);
 }
 
-Result<BlockedBloomFilter> BlockedBloomFilter::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kBlockedBloomFilter, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<BlockedBloomFilter> BlockedBloomFilter::GetPayload(ByteReader& r) {
   uint64_t num_blocks, seed;
   uint8_t num_hashes;
   if (Status sb = r.GetU64(&num_blocks); !sb.ok()) return sb;

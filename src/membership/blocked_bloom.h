@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// Cache-blocked Bloom filter (Putze, Sanders & Singler 2007): confines all
@@ -18,8 +19,11 @@
 namespace gems {
 
 /// Blocked Bloom filter with 512-bit (cache line) blocks.
-class BlockedBloomFilter {
+class BlockedBloomFilter : public WireCodec<BlockedBloomFilter> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kBlockedBloomFilter;
+
   /// `num_bits` rounded up to a multiple of 512; `num_hashes` probes, all
   /// within one block.
   BlockedBloomFilter(uint64_t num_bits, int num_hashes, uint64_t seed = 0);
@@ -47,9 +51,9 @@ class BlockedBloomFilter {
   uint64_t num_bits() const { return num_blocks_ * 512; }
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<BlockedBloomFilter> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<BlockedBloomFilter> GetPayload(ByteReader& payload);
 
  private:
   static constexpr int kWordsPerBlock = 8;  // 512 bits.

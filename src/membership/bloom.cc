@@ -174,67 +174,58 @@ Status BloomFilter::Merge(const BloomFilter& other) {
   return Status::Ok();
 }
 
-Status BloomFilter::MergeFromView(const View<BloomFilter>& view) {
-  // Deserialize's validation order, then Merge's compatibility check, then
-  // the word OR streamed straight off the wrapped payload.
-  ByteReader r = view.PayloadReader();
-  uint64_t num_bits, seed;
-  uint8_t num_hashes;
-  if (Status sb = r.GetU64(&num_bits); !sb.ok()) return sb;
-  if (Status sh = r.GetU8(&num_hashes); !sh.ok()) return sh;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (uint64_t{1} << 40) ||
-      num_hashes < 1 || num_hashes > 64) {
+Result<BloomFilter::WireHeader> BloomFilter::ReadWireHeader(ByteReader& r) {
+  WireHeader wire;
+  if (Status sb = r.GetU64(&wire.num_bits); !sb.ok()) return sb;
+  if (Status sh = r.GetU8(&wire.num_hashes); !sh.ok()) return sh;
+  if (Status ss = r.GetU64(&wire.seed); !ss.ok()) return ss;
+  if (wire.num_bits == 0 || wire.num_bits % 64 != 0 ||
+      wire.num_bits > (uint64_t{1} << 40) || wire.num_hashes < 1 ||
+      wire.num_hashes > 64) {
     return Status::Corruption("invalid Bloom filter shape");
   }
-  // Claim the whole word array up front: a payload shorter than the
-  // declared shape surfaces as the read error Deserialize would have
-  // produced, and no partial merge ever touches bits_.
-  std::span<const uint8_t> raw;
-  if (Status sw = r.GetRawView((num_bits / 64) * 8, &raw); !sw.ok()) return sw;
-  if (num_bits != num_bits_ || num_hashes != num_hashes_ || seed != seed_) {
+  // Claim the whole word array, so a truncated image fails before a decode
+  // allocates or a view merge touches bits_.
+  if (Status sw = r.GetRawView((wire.num_bits / 64) * 8, &wire.words);
+      !sw.ok()) {
+    return sw;
+  }
+  return wire;
+}
+
+Status BloomFilter::MergeFromView(const View<BloomFilter>& view) {
+  // GetPayload's header parse, then Merge's compatibility check, then the
+  // word OR streamed straight off the wrapped payload.
+  ByteReader r = view.PayloadReader();
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  if (wire.num_bits != num_bits_ || wire.num_hashes != num_hashes_ ||
+      wire.seed != seed_) {
     return Status::InvalidArgument(
         "Bloom merge requires identical shape and seed");
   }
   for (size_t i = 0; i < bits_.size(); ++i) {
-    bits_[i] |= LoadLittleEndian<uint64_t>(raw.data() + 8 * i);
+    bits_[i] |= LoadLittleEndian<uint64_t>(wire.words.data() + 8 * i);
   }
   return Status::Ok();
 }
 
-std::vector<uint8_t> BloomFilter::Serialize() const {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + 17 + bits_.size() * 8);
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void BloomFilter::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void BloomFilter::PutPayload(ByteSink& sink) const {
   sink.PutU64(num_bits_);
   sink.PutU8(static_cast<uint8_t>(num_hashes_));
   sink.PutU64(seed_);
   sink.PutU64s(bits_);
 }
 
-Result<BloomFilter> BloomFilter::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kBloomFilter, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
-  uint64_t num_bits, seed;
-  uint8_t num_hashes;
-  if (Status sb = r.GetU64(&num_bits); !sb.ok()) return sb;
-  if (Status sh = r.GetU8(&num_hashes); !sh.ok()) return sh;
-  if (Status ss = r.GetU64(&seed); !ss.ok()) return ss;
-  if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (uint64_t{1} << 40) ||
-      num_hashes < 1 || num_hashes > 64) {
-    return Status::Corruption("invalid Bloom filter shape");
+Result<BloomFilter> BloomFilter::GetPayload(ByteReader& r) {
+  Result<WireHeader> header = ReadWireHeader(r);
+  if (!header.ok()) return header.status();
+  const WireHeader& wire = header.value();
+  BloomFilter filter(wire.num_bits, wire.num_hashes, wire.seed);
+  if (Status sw = ByteReader(wire.words).GetU64s(filter.bits_); !sw.ok()) {
+    return sw;
   }
-  if (Status sw = r.CheckColumn(num_bits / 64, 8); !sw.ok()) return sw;
-  BloomFilter filter(num_bits, num_hashes, seed);
-  if (Status sw = r.GetU64s(filter.bits_); !sw.ok()) return sw;
   return filter;
 }
 

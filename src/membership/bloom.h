@@ -8,7 +8,9 @@
 
 #include "common/status.h"
 #include "core/io.h"
+#include "core/summary.h"
 #include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// Bloom filter (Bloom 1970) — per the paper, "perhaps the first example of
@@ -20,7 +22,7 @@
 namespace gems {
 
 /// A standard Bloom filter over 64-bit keys (or byte strings).
-class BloomFilter {
+class BloomFilter : public WireCodec<BloomFilter> {
  public:
   /// Wire-format type tag, for View<BloomFilter> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kBloomFilter;
@@ -81,22 +83,37 @@ class BloomFilter {
   /// Bitwise-OR union; requires identical shape and seed.
   Status Merge(const BloomFilter& other);
 
-  /// Bitwise-OR union straight out of a wrapped serialized peer — no
-  /// materialization. Byte-identical result to Merge(*view.Materialize()).
-  Status MergeFromView(const View<BloomFilter>& view);
-
   uint64_t num_bits() const { return num_bits_; }
   int num_hashes() const { return num_hashes_; }
   uint64_t NumBitsSet() const;
   size_t MemoryBytes() const { return bits_.size() * sizeof(uint64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<BloomFilter> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<BloomFilter> GetPayload(ByteReader& payload);
 
  private:
+  /// gems::MergeFromView (core/summary.h) is the one public entry point;
+  /// it calls this zero-copy member.
+  template <typename S>
+    requires MergeableSummary<S>
+  friend Status MergeFromView(S& into, const View<S>& view);
+  /// Bitwise-OR union straight out of a wrapped serialized peer — no
+  /// materialization. Byte-identical result to Merge(*view.Materialize()).
+  Status MergeFromView(const View<BloomFilter>& view);
+
+  /// A validated wire image: the shape, the seed, and the num_bits / 64
+  /// little-endian words.
+  struct WireHeader {
+    uint64_t num_bits = 0;
+    uint8_t num_hashes = 0;
+    uint64_t seed = 0;
+    ByteSpan words;
+  };
+  /// The one header parse, shared by GetPayload and MergeFromView so both
+  /// refuse the same images with the same status.
+  static Result<WireHeader> ReadWireHeader(ByteReader& payload);
+
   void InsertHash(uint64_t h1, uint64_t h2);
   bool MayContainHash(uint64_t h1, uint64_t h2) const;
 

@@ -66,21 +66,14 @@ Status CountingBloomFilter::Merge(const CountingBloomFilter& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> CountingBloomFilter::Serialize() const {
-  ByteWriter w;
-  w.PutU64(num_counters_);
-  w.PutU8(static_cast<uint8_t>(num_hashes_));
-  w.PutU64(seed_);
-  w.PutRaw(counters_.data(), counters_.size());
-  return WrapEnvelope(SketchTypeId::kCountingBloomFilter,
-                      std::move(w).TakeBytes());
+void CountingBloomFilter::PutPayload(ByteSink& sink) const {
+  sink.PutU64(num_counters_);
+  sink.PutU8(static_cast<uint8_t>(num_hashes_));
+  sink.PutU64(seed_);
+  sink.PutRaw(counters_.data(), counters_.size());
 }
 
-Result<CountingBloomFilter> CountingBloomFilter::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kCountingBloomFilter, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<CountingBloomFilter> CountingBloomFilter::GetPayload(ByteReader& r) {
   uint64_t num_counters, seed;
   uint8_t num_hashes;
   if (Status sc = r.GetU64(&num_counters); !sc.ok()) return sc;

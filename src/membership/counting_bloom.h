@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// Counting Bloom filter (Fan et al. 1998): replaces each bit with a small
@@ -18,8 +19,11 @@
 namespace gems {
 
 /// Counting Bloom filter with 8-bit saturating counters.
-class CountingBloomFilter {
+class CountingBloomFilter : public WireCodec<CountingBloomFilter> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kCountingBloomFilter;
+
   CountingBloomFilter(uint64_t num_counters, int num_hashes,
                       uint64_t seed = 0);
 
@@ -42,9 +46,9 @@ class CountingBloomFilter {
   uint64_t num_counters() const { return num_counters_; }
   size_t MemoryBytes() const { return counters_.size(); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<CountingBloomFilter> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<CountingBloomFilter> GetPayload(ByteReader& payload);
 
  private:
   void Probe(uint64_t key, uint64_t* h1, uint64_t* h2) const;

@@ -124,20 +124,14 @@ Status AmsSketch::Merge(const AmsSketch& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> AmsSketch::Serialize() const {
-  ByteWriter w;
-  w.PutU32(s1_);
-  w.PutU32(s2_);
-  w.PutU64(seed_);
-  w.PutI64s(counters_);
-  return WrapEnvelope(SketchTypeId::kAmsSketch,
-                      std::move(w).TakeBytes());
+void AmsSketch::PutPayload(ByteSink& sink) const {
+  sink.PutU32(s1_);
+  sink.PutU32(s2_);
+  sink.PutU64(seed_);
+  sink.PutI64s(counters_);
 }
 
-Result<AmsSketch> AmsSketch::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kAmsSketch, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<AmsSketch> AmsSketch::GetPayload(ByteReader& r) {
   uint32_t s1, s2;
   uint64_t seed;
   if (Status sa = r.GetU32(&s1); !sa.ok()) return sa;

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "core/estimate.h"
+#include "core/wire.h"
 #include "hash/polynomial.h"
 
 /// \file
@@ -21,8 +22,11 @@
 namespace gems {
 
 /// AMS F2 sketch with s2 groups of s1 estimators (median of means).
-class AmsSketch {
+class AmsSketch : public WireCodec<AmsSketch> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kAmsSketch;
+
   /// Standard error ~ sqrt(2/s1); failure probability ~ 2^-Omega(s2).
   AmsSketch(uint32_t estimators_per_group, uint32_t num_groups,
             uint64_t seed = 0);
@@ -62,8 +66,9 @@ class AmsSketch {
   uint32_t num_groups() const { return s2_; }
   size_t MemoryBytes() const { return counters_.size() * sizeof(int64_t); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<AmsSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<AmsSketch> GetPayload(ByteReader& payload);
 
  private:
   /// Both UpdateBatch overloads; `weights == nullptr` means unit weight.

@@ -89,25 +89,18 @@ uint64_t GreenwaldKhanna::Rank(double value) const {
   return best;
 }
 
-std::vector<uint8_t> GreenwaldKhanna::Serialize() const {
-  ByteWriter w;
-  w.PutDouble(epsilon_);
-  w.PutU64(count_);
-  w.PutVarint(tuples_.size());
+void GreenwaldKhanna::PutPayload(ByteSink& sink) const {
+  sink.PutDouble(epsilon_);
+  sink.PutU64(count_);
+  sink.PutVarint(tuples_.size());
   for (const Tuple& t : tuples_) {
-    w.PutDouble(t.value);
-    w.PutVarint(t.g);
-    w.PutVarint(t.delta);
+    sink.PutDouble(t.value);
+    sink.PutVarint(t.g);
+    sink.PutVarint(t.delta);
   }
-  return WrapEnvelope(SketchTypeId::kGreenwaldKhanna,
-                      std::move(w).TakeBytes());
 }
 
-Result<GreenwaldKhanna> GreenwaldKhanna::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kGreenwaldKhanna, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<GreenwaldKhanna> GreenwaldKhanna::GetPayload(ByteReader& r) {
   double epsilon;
   uint64_t count, num_tuples;
   if (Status se = r.GetDouble(&epsilon); !se.ok()) return se;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// Greenwald-Khanna quantile summary (SIGMOD 2001): the classic
@@ -20,8 +21,11 @@
 namespace gems {
 
 /// GK summary with target rank error `epsilon`.
-class GreenwaldKhanna {
+class GreenwaldKhanna : public WireCodec<GreenwaldKhanna> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kGreenwaldKhanna;
+
   explicit GreenwaldKhanna(double epsilon);
 
   GreenwaldKhanna(const GreenwaldKhanna&) = default;
@@ -44,9 +48,9 @@ class GreenwaldKhanna {
   size_t NumTuples() const { return tuples_.size(); }
   size_t MemoryBytes() const { return tuples_.size() * sizeof(Tuple); }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<GreenwaldKhanna> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<GreenwaldKhanna> GetPayload(ByteReader& payload);
 
  private:
   struct Tuple {

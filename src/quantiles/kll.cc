@@ -195,21 +195,7 @@ size_t KllSketch::NumRetained() const {
   return total;
 }
 
-Status KllSketch::MergeFromView(const View<KllSketch>& view) {
-  Result<KllSketch> other = view.Materialize();
-  if (!other.ok()) return other.status();
-  return Merge(other.value());
-}
-
-std::vector<uint8_t> KllSketch::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void KllSketch::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void KllSketch::PutPayload(ByteSink& sink) const {
   sink.PutU32(k_);
   sink.PutU64(count_);
   sink.PutVarint(compactors_.size());
@@ -219,10 +205,7 @@ void KllSketch::SerializeTo(ByteSink& sink) const {
   }
 }
 
-Result<KllSketch> KllSketch::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kKll, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<KllSketch> KllSketch::GetPayload(ByteReader& r) {
   uint32_t k;
   uint64_t count, num_levels;
   if (Status sk = r.GetU32(&k); !sk.ok()) return sk;

@@ -8,7 +8,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/io.h"
-#include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// KLL quantile sketch (Karnin, Lang & Liberty, FOCS 2016): the
@@ -22,7 +22,7 @@
 namespace gems {
 
 /// KLL sketch with parameter `k` (top-compactor capacity; error ~ 1/k).
-class KllSketch {
+class KllSketch : public WireCodec<KllSketch> {
  public:
   /// Wire-format type tag, for View<KllSketch> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kKll;
@@ -66,24 +66,15 @@ class KllSketch {
   /// Merges another KLL sketch (any k; the result keeps this sketch's k).
   Status Merge(const KllSketch& other);
 
-  /// Merges a wrapped serialized peer. Compactor concatenation and the
-  /// compression that follows restructure both operands, so this
-  /// materializes one temporary from the view (skipping only the
-  /// caller-side envelope copy) — byte-identical to
-  /// Merge(*view.Materialize()) by construction.
-  Status MergeFromView(const View<KllSketch>& view);
-
   uint64_t Count() const { return count_; }
   uint32_t k() const { return k_; }
   size_t NumRetained() const;
   size_t MemoryBytes() const { return NumRetained() * sizeof(double); }
   int NumLevels() const { return static_cast<int>(compactors_.size()); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<KllSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<KllSketch> GetPayload(ByteReader& payload);
 
   /// Capacity of the compactor `depth` levels below the top of a sketch
   /// with parameter k: max(8, ceil(k * (2/3)^depth)), the power read from a

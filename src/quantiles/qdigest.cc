@@ -135,28 +135,22 @@ Status QDigest::Merge(const QDigest& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> QDigest::Serialize() const {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(universe_bits_));
-  w.PutU64(compression_);
-  w.PutU64(count_);
-  w.PutVarint(nodes_.size());
+void QDigest::PutPayload(ByteSink& sink) const {
+  sink.PutU8(static_cast<uint8_t>(universe_bits_));
+  sink.PutU64(compression_);
+  sink.PutU64(count_);
+  sink.PutVarint(nodes_.size());
   // Canonical order so identical digests serialize to identical bytes.
   std::vector<std::pair<uint64_t, uint64_t>> sorted(nodes_.begin(),
                                                     nodes_.end());
   std::sort(sorted.begin(), sorted.end());
   for (const auto& [id, node_count] : sorted) {
-    w.PutVarint(id);
-    w.PutVarint(node_count);
+    sink.PutVarint(id);
+    sink.PutVarint(node_count);
   }
-  return WrapEnvelope(SketchTypeId::kQDigest,
-                      std::move(w).TakeBytes());
 }
 
-Result<QDigest> QDigest::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kQDigest, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<QDigest> QDigest::GetPayload(ByteReader& r) {
   uint8_t universe_bits;
   uint64_t compression, count, num_nodes;
   if (Status su = r.GetU8(&universe_bits); !su.ok()) return su;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// q-digest (Shrivastava, Buragohain, Agrawal & Suri, SenSys 2004):
@@ -22,8 +23,11 @@
 namespace gems {
 
 /// q-digest over the universe [0, 2^universe_bits).
-class QDigest {
+class QDigest : public WireCodec<QDigest> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kQDigest;
+
   /// `compression` is the k parameter; larger k = more nodes, less error.
   QDigest(int universe_bits, uint64_t compression);
 
@@ -51,8 +55,9 @@ class QDigest {
     return nodes_.size() * (sizeof(uint64_t) * 2 + 2 * sizeof(void*));
   }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<QDigest> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<QDigest> GetPayload(ByteReader& payload);
 
  private:
   /// Heap-style node ids: root = 1; children of v are 2v, 2v+1. Leaves for

@@ -153,26 +153,20 @@ Status TDigest::Merge(const TDigest& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> TDigest::Serialize() const {
+void TDigest::PutPayload(ByteSink& sink) const {
   Flush();
-  ByteWriter w;
-  w.PutDouble(compression_);
-  w.PutDouble(min_);
-  w.PutDouble(max_);
-  w.PutU64(total_weight_);
-  w.PutVarint(centroids_.size());
+  sink.PutDouble(compression_);
+  sink.PutDouble(min_);
+  sink.PutDouble(max_);
+  sink.PutU64(total_weight_);
+  sink.PutVarint(centroids_.size());
   for (const Centroid& c : centroids_) {
-    w.PutDouble(c.mean);
-    w.PutDouble(c.weight);
+    sink.PutDouble(c.mean);
+    sink.PutDouble(c.weight);
   }
-  return WrapEnvelope(SketchTypeId::kTDigest,
-                      std::move(w).TakeBytes());
 }
 
-Result<TDigest> TDigest::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kTDigest, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<TDigest> TDigest::GetPayload(ByteReader& r) {
   double compression, min_value, max_value;
   uint64_t total, num_centroids;
   if (Status sc = r.GetDouble(&compression); !sc.ok()) return sc;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// t-digest (Dunning & Ertl): the quantile summary the paper lists among
@@ -20,8 +21,11 @@
 namespace gems {
 
 /// Merging t-digest with the k1 (arcsine) scale function.
-class TDigest {
+class TDigest : public WireCodec<TDigest> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kTDigest;
+
   /// `compression` (delta) bounds the number of centroids (~2*delta).
   explicit TDigest(double compression = 100.0);
 
@@ -54,8 +58,9 @@ class TDigest {
     return (centroids_.size() + buffer_.size()) * 2 * sizeof(double);
   }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<TDigest> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<TDigest> GetPayload(ByteReader& payload);
 
  private:
   struct Centroid {

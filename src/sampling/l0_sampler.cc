@@ -249,7 +249,7 @@ Status L0Sampler::Merge(const L0Sampler& other) {
 
 namespace gems {
 
-void OneSparseRecovery::EncodeTo(ByteWriter* writer) const {
+void OneSparseRecovery::EncodeTo(ByteSink* writer) const {
   writer->PutU64(seed_);
   writer->PutI64(sum_weight_);
   // __int128 as two little-endian 64-bit halves.
@@ -277,7 +277,7 @@ Status OneSparseRecovery::DecodeFrom(ByteReader* reader) {
   return Status::Ok();
 }
 
-void SparseRecovery::EncodeTo(ByteWriter* writer) const {
+void SparseRecovery::EncodeTo(ByteSink* writer) const {
   writer->PutVarint(sparsity_);
   writer->PutU64(seed_);
   writer->PutVarint(num_rows_);
@@ -304,12 +304,12 @@ Status SparseRecovery::DecodeFrom(ByteReader* reader) {
   return Status::Ok();
 }
 
-void L0Sampler::EncodeTo(ByteWriter* writer) const {
-  writer->PutU64(seed_);
-  writer->PutVarint(options_.sparsity);
-  writer->PutVarint(static_cast<uint64_t>(options_.num_levels));
-  writer->PutVarint(options_.num_rows);
-  for (const SparseRecovery& level : levels_) level.EncodeTo(writer);
+void L0Sampler::PutPayload(ByteSink& sink) const {
+  sink.PutU64(seed_);
+  sink.PutVarint(options_.sparsity);
+  sink.PutVarint(static_cast<uint64_t>(options_.num_levels));
+  sink.PutVarint(options_.num_rows);
+  for (const SparseRecovery& level : levels_) level.EncodeTo(&sink);
 }
 
 Status L0Sampler::DecodeFrom(ByteReader* reader) {
@@ -343,17 +343,7 @@ uint64_t L0Sampler::MinEncodedBytes(const Options& options) {
          NumCells(options.sparsity, options.num_rows) * kCellBytes;
 }
 
-std::vector<uint8_t> L0Sampler::Serialize() const {
-  ByteWriter w;
-  EncodeTo(&w);
-  return WrapEnvelope(SketchTypeId::kL0Sampler,
-                      std::move(w).TakeBytes());
-}
-
-Result<L0Sampler> L0Sampler::Deserialize(std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kL0Sampler, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<L0Sampler> L0Sampler::GetPayload(ByteReader& r) {
   L0Sampler sampler(0, Options{1, 1, 1});
   if (Status sd = sampler.DecodeFrom(&r); !sd.ok()) return sd;
   return sampler;

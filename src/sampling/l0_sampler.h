@@ -8,6 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// L0 sampling from turnstile streams (Jowhari, Saglam & Tardos, PODS 2011
@@ -52,7 +53,7 @@ class OneSparseRecovery {
   Status Merge(const OneSparseRecovery& other);
 
   /// Raw (frameless) encoding for embedding in larger sketches.
-  void EncodeTo(ByteWriter* writer) const;
+  void EncodeTo(ByteSink* writer) const;
   Status DecodeFrom(ByteReader* reader);
 
  private:
@@ -84,7 +85,7 @@ class SparseRecovery {
   Status Merge(const SparseRecovery& other);
 
   /// Raw (frameless) encoding for embedding in larger sketches.
-  void EncodeTo(ByteWriter* writer) const;
+  void EncodeTo(ByteSink* writer) const;
   Status DecodeFrom(ByteReader* reader);
 
  private:
@@ -96,8 +97,11 @@ class SparseRecovery {
 };
 
 /// L0 sampler over a turnstile stream.
-class L0Sampler {
+class L0Sampler : public WireCodec<L0Sampler> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kL0Sampler;
+
   struct Options {
     /// Per-level s-sparse recovery robustness.
     size_t sparsity = 8;
@@ -134,14 +138,15 @@ class L0Sampler {
 
   Status Merge(const L0Sampler& other);
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<L0Sampler> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<L0Sampler> GetPayload(ByteReader& payload);
 
-  /// Raw (frameless) encoding for embedding in larger sketches (AGM).
-  void EncodeTo(ByteWriter* writer) const;
+  /// Decodes a PutPayload image in place — how AGM embeds its samplers
+  /// without an envelope per sampler.
   Status DecodeFrom(ByteReader* reader);
 
-  /// Fewest bytes EncodeTo writes for a sampler with `options`. A decoder
+  /// Fewest bytes PutPayload writes for a sampler with `options`. A decoder
   /// checks it against the remaining payload before it allocates one.
   static uint64_t MinEncodedBytes(const Options& options);
 

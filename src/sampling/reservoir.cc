@@ -76,32 +76,14 @@ Status ReservoirSampler::Merge(const ReservoirSampler& other) {
   return Status::Ok();
 }
 
-Status ReservoirSampler::MergeFromView(const View<ReservoirSampler>& view) {
-  Result<ReservoirSampler> other = view.Materialize();
-  if (!other.ok()) return other.status();
-  return Merge(other.value());
-}
-
-std::vector<uint8_t> ReservoirSampler::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void ReservoirSampler::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void ReservoirSampler::PutPayload(ByteSink& sink) const {
   sink.PutVarint(k_);
   sink.PutU64(seen_);
   sink.PutVarint(sample_.size());
   sink.PutU64s(sample_);
 }
 
-Result<ReservoirSampler> ReservoirSampler::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kReservoir, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<ReservoirSampler> ReservoirSampler::GetPayload(ByteReader& r) {
   uint64_t k, seen, size;
   if (Status sk = r.GetVarint(&k); !sk.ok()) return sk;
   if (Status sn = r.GetU64(&seen); !sn.ok()) return sn;

@@ -8,7 +8,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/io.h"
-#include "core/view.h"
+#include "core/wire.h"
 
 /// \file
 /// Reservoir sampling — the paper's "earliest instance of something we
@@ -21,7 +21,7 @@
 namespace gems {
 
 /// Uniform k-sample without replacement (Algorithm R).
-class ReservoirSampler {
+class ReservoirSampler : public WireCodec<ReservoirSampler> {
  public:
   /// Wire-format type tag, for View<ReservoirSampler> wrapping.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kReservoir;
@@ -53,18 +53,9 @@ class ReservoirSampler {
   /// the two reservoirs with probability proportional to its stream size).
   Status Merge(const ReservoirSampler& other);
 
-  /// Merges a wrapped serialized peer. The merge draws from this
-  /// sampler's RNG per slot, so it materializes one temporary from the
-  /// view (skipping only the caller-side envelope copy) — byte-identical
-  /// to Merge(*view.Materialize()) by construction.
-  Status MergeFromView(const View<ReservoirSampler>& view);
-
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<ReservoirSampler> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<ReservoirSampler> GetPayload(ByteReader& payload);
 
  private:
   size_t k_;

@@ -103,6 +103,24 @@ inline uint32_t BlockColsFor(uint32_t depth) {
   return cols;
 }
 
+// Visits a blocked depth x width counter array in wire order — the logical
+// flat matrix, row-major — passing the storage slot of each counter: flat
+// column b*cols + j of row r lives at slot b*8 + r*cols + j. The one
+// blocked<->flat permutation, shared by Count-Min's and Count Sketch's
+// codecs and view merges.
+template <typename Visit>
+inline void ForEachBlockedWireSlot(uint32_t depth, uint32_t width,
+                                   uint32_t cols, Visit&& visit) {
+  const uint32_t col_shift = std::countr_zero(cols);
+  const uint32_t col_mask = cols - 1;
+  for (uint32_t row = 0; row < depth; ++row) {
+    for (uint32_t col = 0; col < width; ++col) {
+      visit(static_cast<uint64_t>(col >> col_shift) * kCmBlockSlots +
+            row * cols + (col & col_mask));
+    }
+  }
+}
+
 inline uint32_t CmBlockCol(uint64_t probe_bits, uint32_t row,
                            uint32_t col_mask) {
   return static_cast<uint32_t>(probe_bits >> (kCmBlockColBits * row)) &

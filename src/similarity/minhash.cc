@@ -63,20 +63,13 @@ Status MinHashSketch::Merge(const MinHashSketch& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> MinHashSketch::Serialize() const {
-  ByteWriter w;
-  w.PutU32(k_);
-  w.PutU64(seed_);
-  w.PutU64s(signature_);
-  return WrapEnvelope(SketchTypeId::kMinHash,
-                      std::move(w).TakeBytes());
+void MinHashSketch::PutPayload(ByteSink& sink) const {
+  sink.PutU32(k_);
+  sink.PutU64(seed_);
+  sink.PutU64s(signature_);
 }
 
-Result<MinHashSketch> MinHashSketch::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> payload = OpenEnvelope(SketchTypeId::kMinHash, bytes);
-  if (!payload.ok()) return payload.status();
-  ByteReader r = std::move(payload).value();
+Result<MinHashSketch> MinHashSketch::GetPayload(ByteReader& r) {
   uint32_t k;
   uint64_t seed;
   if (Status sk = r.GetU32(&k); !sk.ok()) return sk;

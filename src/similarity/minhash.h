@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/wire.h"
 
 /// \file
 /// MinHash (Broder 1997): a sketch of a *set* whose coordinates are the
@@ -18,8 +19,11 @@
 namespace gems {
 
 /// A MinHash sketch of a streaming set.
-class MinHashSketch {
+class MinHashSketch : public WireCodec<MinHashSketch> {
  public:
+  /// Wire-format type tag.
+  static constexpr SketchTypeId kTypeId = SketchTypeId::kMinHash;
+
   /// `k` signature coordinates; Jaccard std error ~ 1/sqrt(k).
   MinHashSketch(uint32_t k, uint64_t seed = 0);
 
@@ -45,8 +49,9 @@ class MinHashSketch {
   const std::vector<uint64_t>& signature() const { return signature_; }
   uint32_t k() const { return k_; }
 
-  std::vector<uint8_t> Serialize() const;
-  static Result<MinHashSketch> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<MinHashSketch> GetPayload(ByteReader& payload);
 
  private:
   uint32_t k_;

@@ -149,15 +149,7 @@ Status DecayedCountMin::Merge(const DecayedCountMin& other) {
   return Status::Ok();
 }
 
-std::vector<uint8_t> DecayedCountMin::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void DecayedCountMin::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void DecayedCountMin::PutPayload(ByteSink& sink) const {
   sink.PutU32(width_);
   sink.PutU32(depth_);
   sink.PutU64(seed_);
@@ -168,14 +160,9 @@ void DecayedCountMin::SerializeTo(ByteSink& sink) const {
   // round trip is byte-identical regardless of the writer's scale.
   sink.PutDouble(total_ * scale_);
   for (const double counter : counters_) sink.PutDouble(counter * scale_);
-  env.Finish();
 }
 
-Result<DecayedCountMin> DecayedCountMin::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> opened = OpenEnvelope(kTypeId, bytes);
-  if (!opened.ok()) return opened.status();
-  ByteReader& reader = opened.value();
+Result<DecayedCountMin> DecayedCountMin::GetPayload(ByteReader& reader) {
   uint8_t started = 0;
   uint32_t width = 0, depth = 0;
   uint64_t seed = 0, last_timestamp = 0;

@@ -27,7 +27,7 @@
 namespace gems {
 
 /// Count-Min over exponentially decayed weights (flat layout).
-class DecayedCountMin {
+class DecayedCountMin : public WireCodec<DecayedCountMin> {
  public:
   /// Wire-format type tag, for registry dispatch.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kDecayedCountMin;
@@ -91,12 +91,11 @@ class DecayedCountMin {
   uint64_t last_timestamp() const { return last_timestamp_; }
   size_t MemoryBytes() const { return counters_.size() * sizeof(double); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize(). Counters are written in logical (decayed) units, so a
+  /// Payload codec; WireCodec supplies the envelope.
+  /// Counters are written in logical (decayed) units, so a
   /// serialize -> deserialize -> serialize round trip is byte-identical.
-  void SerializeTo(ByteSink& sink) const;
-  static Result<DecayedCountMin> Deserialize(std::span<const uint8_t> bytes);
+  void PutPayload(ByteSink& sink) const;
+  static Result<DecayedCountMin> GetPayload(ByteReader& payload);
 
  private:
   uint64_t Bucket(uint32_t row, uint64_t item) const;

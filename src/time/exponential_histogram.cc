@@ -95,15 +95,7 @@ uint64_t ExponentialHistogram::EstimateCount(uint64_t now) const {
   return total - oldest_size / 2;
 }
 
-std::vector<uint8_t> ExponentialHistogram::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void ExponentialHistogram::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void ExponentialHistogram::PutPayload(ByteSink& sink) const {
   sink.PutU64(window_);
   sink.PutDouble(epsilon_);
   sink.PutU64(last_timestamp_);
@@ -113,14 +105,10 @@ void ExponentialHistogram::SerializeTo(ByteSink& sink) const {
     sink.PutU64(bucket.timestamp);
     sink.PutVarint(bucket.size);
   }
-  env.Finish();
 }
 
-Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> opened = OpenEnvelope(kTypeId, bytes);
-  if (!opened.ok()) return opened.status();
-  ByteReader& reader = opened.value();
+Result<ExponentialHistogram> ExponentialHistogram::GetPayload(
+    ByteReader& reader) {
   uint64_t window = 0, last_timestamp = 0;
   double epsilon = 0.0;
   uint32_t count = 0;

@@ -21,7 +21,7 @@
 namespace gems {
 
 /// Sliding-window event counter.
-class ExponentialHistogram {
+class ExponentialHistogram : public WireCodec<ExponentialHistogram> {
  public:
   /// Wire-format type tag, for registry dispatch.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kExponentialHistogram;
@@ -76,12 +76,9 @@ class ExponentialHistogram {
   double epsilon() const { return epsilon_; }
   uint64_t last_timestamp() const { return last_timestamp_; }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<ExponentialHistogram> Deserialize(
-      std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<ExponentialHistogram> GetPayload(ByteReader& payload);
 
  private:
   struct Bucket {

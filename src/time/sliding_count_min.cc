@@ -121,15 +121,7 @@ Status SlidingCountMin::Merge(const SlidingCountMin& other) {
   return ring_.Merge(other.ring_);
 }
 
-std::vector<uint8_t> SlidingCountMin::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void SlidingCountMin::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void SlidingCountMin::PutPayload(ByteSink& sink) const {
   sink.PutU32(width());
   sink.PutU32(depth());
   sink.PutU64(seed());
@@ -145,14 +137,9 @@ void SlidingCountMin::SerializeTo(ByteSink& sink) const {
     pane.SerializeTo(sink);
     sink.PatchU32(length_at, static_cast<uint32_t>(sink.size() - length_at - 4));
   });
-  env.Finish();
 }
 
-Result<SlidingCountMin> SlidingCountMin::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> opened = OpenEnvelope(kTypeId, bytes);
-  if (!opened.ok()) return opened.status();
-  ByteReader& reader = opened.value();
+Result<SlidingCountMin> SlidingCountMin::GetPayload(ByteReader& reader) {
   uint8_t started = 0;
   uint32_t width = 0, depth = 0, num_panes = 0, pane_count = 0;
   uint64_t seed = 0, pane_width = 0, last_timestamp = 0;

@@ -7,6 +7,7 @@
 
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/wire.h"
 #include "frequency/count_min.h"
 #include "hash/hashed_batch.h"
 #include "time/pane_ring.h"
@@ -22,7 +23,7 @@ namespace gems {
 
 /// Count-Min over the trailing num_panes * pane_width time units. Flat
 /// layout, non-conservative (pane merges must be order-independent).
-class SlidingCountMin {
+class SlidingCountMin : public WireCodec<SlidingCountMin> {
  public:
   /// Wire-format type tag, for registry dispatch.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kSlidingCountMin;
@@ -88,11 +89,9 @@ class SlidingCountMin {
   size_t NumLivePanes() const { return ring_.NumLivePanes(); }
   uint64_t last_timestamp() const { return ring_.last_timestamp(); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<SlidingCountMin> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<SlidingCountMin> GetPayload(ByteReader& payload);
 
  private:
   PaneRing<CountMinSketch> ring_;

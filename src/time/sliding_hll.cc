@@ -81,15 +81,7 @@ Status SlidingHyperLogLog::Merge(const SlidingHyperLogLog& other) {
   return ring_.Merge(other.ring_);
 }
 
-std::vector<uint8_t> SlidingHyperLogLog::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteSink sink(&out);
-  SerializeTo(sink);
-  return out;
-}
-
-void SlidingHyperLogLog::SerializeTo(ByteSink& sink) const {
-  EnvelopeBuilder env(sink, kTypeId);
+void SlidingHyperLogLog::PutPayload(ByteSink& sink) const {
   sink.PutU8(static_cast<uint8_t>(precision()));
   sink.PutU64(seed());
   sink.PutU64(ring_.pane_width());
@@ -104,14 +96,9 @@ void SlidingHyperLogLog::SerializeTo(ByteSink& sink) const {
     pane.SerializeTo(sink);
     sink.PatchU32(length_at, static_cast<uint32_t>(sink.size() - length_at - 4));
   });
-  env.Finish();
 }
 
-Result<SlidingHyperLogLog> SlidingHyperLogLog::Deserialize(
-    std::span<const uint8_t> bytes) {
-  Result<ByteReader> opened = OpenEnvelope(kTypeId, bytes);
-  if (!opened.ok()) return opened.status();
-  ByteReader& reader = opened.value();
+Result<SlidingHyperLogLog> SlidingHyperLogLog::GetPayload(ByteReader& reader) {
   uint8_t precision = 0, started = 0;
   uint64_t seed = 0, pane_width = 0, last_timestamp = 0;
   uint32_t num_panes = 0, pane_count = 0;

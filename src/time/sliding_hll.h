@@ -8,6 +8,7 @@
 #include "cardinality/hyperloglog.h"
 #include "core/estimate.h"
 #include "core/io.h"
+#include "core/wire.h"
 #include "hash/hashed_batch.h"
 #include "time/pane_ring.h"
 
@@ -22,7 +23,7 @@
 namespace gems {
 
 /// HyperLogLog over the trailing num_panes * pane_width time units.
-class SlidingHyperLogLog {
+class SlidingHyperLogLog : public WireCodec<SlidingHyperLogLog> {
  public:
   /// Wire-format type tag, for registry dispatch.
   static constexpr SketchTypeId kTypeId = SketchTypeId::kSlidingHyperLogLog;
@@ -98,11 +99,9 @@ class SlidingHyperLogLog {
   size_t NumLivePanes() const { return ring_.NumLivePanes(); }
   uint64_t last_timestamp() const { return ring_.last_timestamp(); }
 
-  std::vector<uint8_t> Serialize() const;
-  /// Appends the wire envelope into a caller-owned buffer; byte-identical
-  /// to Serialize().
-  void SerializeTo(ByteSink& sink) const;
-  static Result<SlidingHyperLogLog> Deserialize(std::span<const uint8_t> bytes);
+  /// Payload codec; WireCodec supplies the envelope.
+  void PutPayload(ByteSink& sink) const;
+  static Result<SlidingHyperLogLog> GetPayload(ByteReader& payload);
 
  private:
   PaneRing<HyperLogLog> ring_;

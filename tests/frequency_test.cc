@@ -339,7 +339,7 @@ TEST(CountMinBlockedTest, MergeFromViewMatchesMerge) {
   const std::vector<uint8_t> bytes = peer.Serialize();
   Result<View<CountMinSketch>> view = View<CountMinSketch>::Wrap(bytes);
   ASSERT_TRUE(view.ok());
-  ASSERT_TRUE(acc.MergeFromView(view.value()).ok());
+  ASSERT_TRUE(MergeFromView(acc, view.value()).ok());
   ASSERT_TRUE(by_merge.Merge(peer).ok());
   EXPECT_EQ(acc.counters(), by_merge.counters());
 }
@@ -355,7 +355,7 @@ TEST(CountMinBlockedTest, MergeRejectsLayoutMismatch) {
   const std::vector<uint8_t> bytes = blocked.Serialize();
   Result<View<CountMinSketch>> view = View<CountMinSketch>::Wrap(bytes);
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(flat.MergeFromView(view.value()).code(),
+  EXPECT_EQ(MergeFromView(flat, view.value()).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -1017,7 +1017,7 @@ void RunDifferential(size_t capacity, bool ties, uint64_t seed) {
           const std::vector<uint8_t> bytes = peer.Serialize();
           Result<View<SpaceSaving>> view = View<SpaceSaving>::Wrap(bytes);
           ASSERT_TRUE(view.ok());
-          ASSERT_TRUE(got.MergeFromView(view.value()).ok());
+          ASSERT_TRUE(MergeFromView(got, view.value()).ok());
         }
         ExpectSameSummary(got, want, universe, rng);
         continue;

@@ -238,7 +238,7 @@ TEST(KllTest, MergeOverflowIsRefused) {
   EXPECT_EQ(acc.value().Serialize(), image);
   Result<View<KllSketch>> view = View<KllSketch>::Wrap(image);
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(acc.value().MergeFromView(view.value()).code(),
+  EXPECT_EQ(MergeFromView(acc.value(), view.value()).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(acc.value().Serialize(), image);
 }

@@ -10,6 +10,7 @@
 #include <exception>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/wire.h"
 #include "core/io.h"
 #include "frequency/count_min.h"
+#include "frequency/count_sketch.h"
 #include "frequency/dyadic_count_min.h"
 #include "frequency/misra_gries.h"
 #include "frequency/space_saving.h"
@@ -337,7 +339,8 @@ TEST_F(WireTest, SpaceSavingDuplicateItemIsCorruption) {
     SpaceSaving acc(capacity);
     for (uint64_t i = 0; i < 2000; ++i) acc.Update(i % 1500);
     const std::vector<uint8_t> before = acc.Serialize();
-    EXPECT_EQ(acc.MergeFromView(view.value()).code(), StatusCode::kCorruption);
+    EXPECT_EQ(MergeFromView(acc, view.value()).code(),
+              StatusCode::kCorruption);
     EXPECT_EQ(acc.Serialize(), before);
 
     EXPECT_TRUE(
@@ -384,7 +387,7 @@ TEST_F(WireTest, SpaceSavingWeightBeyondTotalIsRejected) {
   ASSERT_TRUE(acc.ok());
   Result<View<SpaceSaving>> view = View<SpaceSaving>::Wrap(heavy);
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(acc.value().MergeFromView(view.value()).code(),
+  EXPECT_EQ(MergeFromView(acc.value(), view.value()).code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(acc.value().Serialize(), heavy);
 }
@@ -403,8 +406,73 @@ TEST_F(WireTest, CountMinMergeOverflowIsRefused) {
     EXPECT_EQ(acc.Serialize(), bytes);
     Result<View<CountMinSketch>> view = View<CountMinSketch>::Wrap(bytes);
     ASSERT_TRUE(view.ok());
-    EXPECT_EQ(acc.MergeFromView(view.value()).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(MergeFromView(acc, view.value()).code(), StatusCode::kOutOfRange);
     EXPECT_EQ(acc.Serialize(), bytes);
+  }
+}
+
+TEST_F(WireTest, CountSketchViewMergeWrapsLikeMerge) {
+  // Counters at +-INT64_MAX doubled: Merge's i64_add kernel wraps in two's
+  // complement, and MergeFromView must wrap the same way rather than hit
+  // signed-overflow UB (UBSan builds catch the difference), in both
+  // counter layouts.
+  for (SketchLayout layout : {SketchLayout::kFlat, SketchLayout::kBlocked}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    CountSketch heavy(64, 4, 9, layout);
+    heavy.Update(7, INT64_MAX);
+    const std::vector<uint8_t> bytes = heavy.Serialize();
+    CountSketch by_merge = heavy;
+    ASSERT_TRUE(by_merge.Merge(heavy).ok());
+    CountSketch by_view = heavy;
+    Result<View<CountSketch>> view = View<CountSketch>::Wrap(bytes);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(MergeFromView(by_view, view.value()).ok());
+    EXPECT_EQ(by_view.Serialize(), by_merge.Serialize());
+  }
+}
+
+TEST_F(WireTest, BlockedDepthBeyondBlockIsCorruptionOnEveryPath) {
+  // A blocked counter layout holds at most eight rows. An otherwise
+  // well-formed image that says blocked with depth 9 must be kCorruption
+  // on every route gemsd takes: decode (RESTORE), registry Wrap ->
+  // AnySketch::MergeFromView, and Keyspace::Merge (MERGE).
+  constexpr uint32_t kWidth = 16;
+  constexpr uint32_t kDepth = 9;
+  ByteWriter count_min;
+  count_min.PutU32(kWidth);
+  count_min.PutU32(kDepth);
+  count_min.PutU64(7);  // Seed.
+  count_min.PutU8(0);   // Not conservative.
+  count_min.PutI64(0);  // Total.
+  for (uint32_t i = 0; i < kWidth * kDepth; ++i) count_min.PutVarint(0);
+  count_min.PutU8(1);  // Blocked layout.
+  ByteWriter count_sketch;
+  count_sketch.PutU32(kWidth);
+  count_sketch.PutU32(kDepth);
+  count_sketch.PutU64(7);
+  for (uint32_t i = 0; i < kWidth * kDepth; ++i) count_sketch.PutI64(0);
+  count_sketch.PutU8(1);
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> images = {
+      {"count_min", WrapEnvelope(SketchTypeId::kCountMin, count_min.bytes())},
+      {"count_sketch",
+       WrapEnvelope(SketchTypeId::kCountSketch, count_sketch.bytes())},
+  };
+  const SketchRegistry& registry = SketchRegistry::Global();
+  for (const auto& [name, bytes] : images) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(registry.Deserialize(bytes).status().code(),
+              StatusCode::kCorruption);
+
+    Result<AnySketchView> view = registry.Wrap(bytes);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    AnySketch into = registry.FindByName(name)->make_default();
+    EXPECT_EQ(into.MergeFromView(view.value().sketch_view()).code(),
+              StatusCode::kCorruption);
+
+    server::Keyspace keyspace;
+    ASSERT_TRUE(keyspace.Create("key", name).ok());
+    EXPECT_EQ(keyspace.Merge("key", bytes, /*trusted=*/false).code(),
+              StatusCode::kCorruption);
   }
 }
 
